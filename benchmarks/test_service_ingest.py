@@ -3,21 +3,15 @@
 The paper's profiles are "≈1 KB per operation" precisely so they are
 cheap to ship and merge; these benches keep the service honest about
 that budget: decode+merge cost of one pushed segment, end-to-end TCP
-push round-trip throughput, rolling-store rotation, the online
-differential scoring of a closed segment, and the transport showdown —
-the asyncio event loop against the thread-per-connection server under
-a concurrent pusher fleet (throughput and p99 push latency).
+push round-trip throughput, rolling-store rotation, and the online
+differential scoring of a closed segment.
 """
-
-import os
-import threading
-import time
 
 from repro.core.profileset import ProfileSet
 from repro.service.aio_server import AsyncProfileServer
 from repro.service.alerts import DifferentialAlerter
 from repro.service.client import ServiceClient
-from repro.service.server import ProfileServer, ProfileService, ServiceConfig
+from repro.service.server import ProfileService, ServiceConfig
 from repro.service.store import SegmentStore
 
 
@@ -46,7 +40,7 @@ def test_perf_ingest_decode_merge(benchmark):
 
 def test_perf_push_round_trip(benchmark):
     """Full TCP round trip: frame, send, decode, merge, ack."""
-    server = ProfileServer(ProfileService(
+    server = AsyncProfileServer(ProfileService(
         ServiceConfig(segment_seconds=3600.0, retention=16)))
     server.serve_in_thread()
     host, port = server.address
@@ -56,103 +50,7 @@ def test_perf_push_round_trip(benchmark):
             status = benchmark(client.push, pset)
         assert "ops" in status
     finally:
-        server.shutdown()
         server.server_close()
-
-
-def _drive_pushers(address, pushers, pushes_each, payload):
-    """Concurrent pushers against one server; returns (wall, latencies)."""
-    host, port = address
-    latencies = [[] for _ in range(pushers)]
-    barrier = threading.Barrier(pushers + 1)
-
-    def pusher(slot):
-        with ServiceClient(host, port) as client:
-            barrier.wait()
-            mine = latencies[slot]
-            for _ in range(pushes_each):
-                t0 = time.perf_counter()
-                client.push_payload(payload)
-                mine.append(time.perf_counter() - t0)
-
-    threads = [threading.Thread(target=pusher, args=(i,))
-               for i in range(pushers)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    t0 = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - t0
-    flat = sorted(lat for slot in latencies for lat in slot)
-    p99 = flat[int(len(flat) * 0.99) - 1]
-    return wall, p99
-
-
-def test_perf_async_vs_threaded_ingest(benchmark, artifacts):
-    """The tentpole number: event loop vs thread-per-connection ingest.
-
-    The same concurrent pusher fleet (256 connections — the regime the
-    event loop exists for; thread-per-connection spends its budget on
-    scheduler churn well before this) is thrown at both transports;
-    throughput and p99 push latency land in the results artifact.  The
-    async-beats-threaded assertion is enforced outside CI only (shared
-    runners schedule threads too noisily to gate on).
-    """
-    pushers, pushes_each = 256, 8
-    payload = realistic_segment(operations=4).to_bytes()
-    results = {}
-
-    def run_threaded():
-        server = ProfileServer(ProfileService(
-            ServiceConfig(segment_seconds=3600.0, retention=16,
-                          max_pending=pushers * 2)))
-        server.serve_in_thread()
-        try:
-            return _drive_pushers(server.address, pushers, pushes_each,
-                                  payload)
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def run_async():
-        server = AsyncProfileServer(ProfileService(
-            ServiceConfig(segment_seconds=3600.0, retention=16,
-                          max_pending=pushers * 2)))
-        server.serve_in_thread()
-        try:
-            return _drive_pushers(server.address, pushers, pushes_each,
-                                  payload)
-        finally:
-            server.server_close()
-
-    run_async()  # warm both paths once before timing
-    run_threaded()
-    results["threaded"] = run_threaded()
-    results["async"] = benchmark.pedantic(run_async, rounds=1,
-                                          iterations=1)
-
-    total = pushers * pushes_each
-    lines = [f"{'engine':<10} {'pushes/s':>10} {'p99 ms':>8}"]
-    rates = {}
-    for engine in ("threaded", "async"):
-        wall, p99 = results[engine]
-        rates[engine] = total / wall
-        lines.append(f"{engine:<10} {total / wall:>10.0f} "
-                     f"{p99 * 1e3:>8.2f}")
-    speedup = rates["async"] / rates["threaded"]
-    lines.append(f"async/threaded throughput ratio: {speedup:.2f}x")
-    artifacts.add(f"# service ingest: {pushers} concurrent pushers, "
-                  f"{total} pushes of {len(payload)} B\n" +
-                  "\n".join(lines))
-    benchmark.extra_info["threaded_pushes_per_s"] = round(
-        rates["threaded"])
-    benchmark.extra_info["async_pushes_per_s"] = round(rates["async"])
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-    if not os.environ.get("CI"):
-        assert speedup > 1.0, (
-            f"async ingest only {speedup:.2f}x of threaded "
-            f"({rates['async']:.0f} vs {rates['threaded']:.0f} pushes/s)")
 
 
 def test_perf_store_rotation(benchmark):

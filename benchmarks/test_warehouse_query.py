@@ -1,11 +1,12 @@
-"""Columnar vs legacy warehouse engines on a 100+ segment directory.
+"""The columnar warehouse engine vs the per-segment decode + merge path.
 
-Acceptance bar for the columnar refactor: multi-segment range queries
+Acceptance bar for the columnar engine: multi-segment range queries
 and the compaction merge phase must be at least 3x faster than the
-legacy per-segment ``ProfileSet`` decode + dict-merge path, while
-staying byte-identical to it.  The byte-identity half is always
-asserted; the throughput ratios are recorded in extra_info and only
-enforced outside CI (shared runners time too noisily to gate on).
+legacy path — ``ProfileSet.merged`` over per-segment
+``Warehouse.load_segment`` decodes, which stays the byte-identity
+oracle.  The byte-identity half is always asserted; the throughput
+ratios are recorded in extra_info and only enforced outside CI (shared
+runners time too noisily to gate on).
 
 Full ``compact()`` wall time is recorded too, but not gated: it is
 dominated by the durable write path (encode + atomic rename per
@@ -35,8 +36,8 @@ def synthetic_segment(seed: int, operations: int = 10) -> ProfileSet:
     return pset
 
 
-def build_warehouse(root, engine="columnar"):
-    wh = Warehouse(root, policy=POLICY, engine=engine)
+def build_warehouse(root):
+    wh = Warehouse(root, policy=POLICY)
     wh.ingest_many("bench",
                    [(synthetic_segment(e), e) for e in range(SEGMENTS)])
     return wh
@@ -54,14 +55,16 @@ def best_of(rounds, fn):
 
 def test_perf_warehouse_query_columnar_vs_legacy(benchmark, artifacts,
                                                  tmp_path):
-    """Full-history query over 120 segments, both engines."""
+    """Full-history query over 120 segments, both paths."""
     columnar = build_warehouse(tmp_path / "wh")
-    legacy = Warehouse(tmp_path / "wh", policy=POLICY, engine="legacy")
+    metas = columnar.segments("bench")
+
+    def legacy_query():
+        return ProfileSet.merged([columnar.load_segment(m) for m in metas])
 
     columnar.query("bench")  # decode once; repeat queries hit the cache
     legacy_elapsed, legacy_result = best_of(
-        3, lambda: [legacy.query("bench")
-                    for _ in range(QUERY_ROUNDS)][-1])
+        3, lambda: [legacy_query() for _ in range(QUERY_ROUNDS)][-1])
     columnar_elapsed, columnar_result = best_of(
         3, lambda: [columnar.query("bench")
                     for _ in range(QUERY_ROUNDS)][-1])
@@ -113,32 +116,27 @@ def test_perf_warehouse_compaction_columnar_vs_legacy(benchmark,
                for a, b in zip(legacy_result, columnar_result))
     speedup = legacy_elapsed / columnar_elapsed
 
-    # The unagated end-to-end numbers: compact() to a fixpoint on two
-    # identical directories, one per engine (write path included).
-    full = {}
-    for engine in ("columnar", "legacy"):
-        full_wh = build_warehouse(tmp_path / f"full-{engine}", engine)
-        t0 = time.perf_counter()
-        while full_wh.compact():
-            pass
-        full[engine] = time.perf_counter() - t0
+    # The ungated end-to-end number: compact() to a fixpoint (write
+    # path included).
+    full_wh = build_warehouse(tmp_path / "full")
+    t0 = time.perf_counter()
+    while full_wh.compact():
+        pass
+    full_compact = time.perf_counter() - t0
 
     benchmark.extra_info["groups"] = len(groups)
     benchmark.extra_info["legacy_seconds"] = round(legacy_elapsed, 4)
     benchmark.extra_info["columnar_seconds"] = round(columnar_elapsed, 4)
     benchmark.extra_info["speedup"] = round(speedup, 3)
-    benchmark.extra_info["full_compact_legacy_seconds"] = round(
-        full["legacy"], 4)
     benchmark.extra_info["full_compact_columnar_seconds"] = round(
-        full["columnar"], 4)
+        full_compact, 4)
     artifacts.add(
         f"compaction merge phase, {len(groups)} groups "
         f"({SEGMENTS} input segments)\n"
         f"  legacy:   {legacy_elapsed:.4f}s\n"
         f"  columnar: {columnar_elapsed:.4f}s  ({speedup:.1f}x)\n"
         f"  full compact() incl. write path: "
-        f"legacy {full['legacy']:.4f}s, "
-        f"columnar {full['columnar']:.4f}s\n"
+        f"columnar {full_compact:.4f}s\n"
         f"  byte-identical: yes")
     if not os.environ.get("CI"):
         assert speedup >= 3.0, (

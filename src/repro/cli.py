@@ -241,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "warehouse segment (see 'osprof db scrub')")
     serve.add_argument("--db-source", default="service",
                        help="warehouse source name for flushed segments")
-    serve.add_argument("--engine", choices=("async", "thread"),
-                       default="async",
-                       help="transport: single-threaded asyncio event "
-                            "loop (default) or thread-per-connection")
     serve.add_argument("--flush-batch", type=int, default=1,
                        help="closed segments accumulated before one "
                             "batched warehouse commit (single fsync)")
@@ -713,7 +709,7 @@ def cmd_sampled(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service.server import ProfileServer, ProfileService, ServiceConfig
+    from .service.server import ProfileService, ServiceConfig
     config = ServiceConfig(
         segment_seconds=args.segment_seconds, retention=args.retention,
         baseline_segments=args.baseline, metric=args.metric,
@@ -731,18 +727,12 @@ def cmd_serve(args) -> int:
         return 2
     service = ProfileService(config, warehouse=warehouse,
                              warehouse_source=args.db_source)
-    if args.engine == "async":
-        from .service.aio_server import AsyncProfileServer
-        server = AsyncProfileServer(service, host=args.host,
-                                    port=args.port)
-        thread = server.serve_in_thread()
-    else:
-        server = ProfileServer(service, host=args.host, port=args.port)
-        thread = None
+    from .service.aio_server import AsyncProfileServer
+    server = AsyncProfileServer(service, host=args.host, port=args.port)
+    thread = server.serve_in_thread()
     host, port = server.address
     print(f"osprof service listening on {host}:{port} "
-          f"(engine={args.engine} "
-          f"segment={config.segment_seconds:g}s "
+          f"(segment={config.segment_seconds:g}s "
           f"retention={config.retention} metric={config.metric})",
           file=sys.stderr)
     if warehouse is not None:
@@ -751,11 +741,8 @@ def cmd_serve(args) -> int:
               f"baseline seeded from {service.baseline_seeded} "
               f"segment(s)", file=sys.stderr)
     try:
-        if thread is not None:
-            while thread.is_alive():
-                thread.join(timeout=1.0)
-        else:
-            server.serve_forever()
+        while thread.is_alive():
+            thread.join(timeout=1.0)
     except KeyboardInterrupt:
         pass
     finally:

@@ -12,8 +12,10 @@ long-running network service:
 * :mod:`repro.service.alerts` — online differential analysis: each
   closed segment is scored against a rolling baseline and structured
   alerts fire on new peaks or metric threshold crossings,
-* :mod:`repro.service.server` — the ingestion server plus a plaintext
-  metrics endpoint, and
+* :mod:`repro.service.server` — the ingestion core, its sans-IO frame
+  table, and a plaintext metrics page,
+* :mod:`repro.service.aio_server` — the event-loop TCP transport that
+  serves the frame table, and
 * :mod:`repro.service.client` — the collector-side client used by the
   ``osprof push`` / ``osprof watch`` CLI subcommands.
 """
@@ -21,14 +23,13 @@ long-running network service:
 from .alerts import Alert, DifferentialAlerter
 from .client import ServiceClient, parse_endpoint
 from .protocol import FrameType, ProtocolError, recv_frame, send_frame
-from .server import ProfileServer, ProfileService, ServiceConfig
+from .server import ProfileService, ServiceConfig
 from .store import Segment, SegmentStore
 
 __all__ = [
     "Alert",
     "DifferentialAlerter",
     "FrameType",
-    "ProfileServer",
     "ProfileService",
     "ProtocolError",
     "Segment",

@@ -1,38 +1,37 @@
-"""The event-loop transport: one thread, thousands of collectors.
+"""The service transport: one event-loop thread, thousands of collectors.
 
-:class:`ProfileServer` (``server.py``) spends a whole thread per
-connection, which caps a fleet at a few hundred concurrent pushers
-before scheduler churn eats the ingest budget.  This module serves the
-very same :class:`~repro.service.server.ProfileService` facade from a
-single-threaded ``asyncio`` event loop instead: sockets are read
-non-blocking in 64 KiB chunks, frames are cut out of the stream by the
-sans-IO incremental :class:`~repro.service.protocol.FrameParser`
-(header-only size guard, zero-copy ``memoryview`` payload slicing), and
-every dispatch is the same microseconds of histogram merging — so one
-loop absorbs the fleet the north star asks for while the wire protocol,
-the CLI, and every hardening semantic stay bit-for-bit compatible:
+:class:`AsyncProfileServer` serves a
+:class:`~repro.service.server.ProfileService` (or a relay) from a
+single-threaded ``asyncio`` event loop: sockets are read non-blocking
+in 64 KiB chunks, frames are cut out of the stream by the sans-IO
+incremental :class:`~repro.service.protocol.FrameParser` (header-only
+size guard, zero-copy ``memoryview`` payload slicing), and each frame
+is answered by a lookup in the service's sans-IO frame table
+(:data:`~repro.service.server.FRAME_HANDLERS`) — microseconds of
+histogram merging per push, so one loop absorbs the fleet.  The
+hardening semantics:
 
-* per-connection **read timeouts** (``asyncio.wait_for`` around each
+* per-connection **read timeouts** (a timer armed while parked on a
   read; an idle or wedged peer is dropped and counted),
 * the **max-frame guard** (judged from the 9 header bytes alone, the
   oversized payload is never buffered; the peer gets an ``ERROR``),
 * bounded-slot **RETRY_AFTER backpressure** through the service's own
-  ``try_acquire_ingest_slot`` gate, so the two transports shed load
-  identically,
+  ``try_acquire_ingest_slot`` gate, for every frame the table marks
+  ``gated``,
 * **graceful drain** (stop accepting, wait for in-flight connections,
   cancel stragglers after a timeout — an acked push is always already
   merged, because the ack is written after the synchronous ingest),
-* the shared **metrics** page, plus transport gauges of its own.
+* the service's **metrics** page, plus transport gauges of its own.
 
 Memory stays bounded under pipelining by construction: every complete
 frame already parsed is dispatched before the next ``read()`` is
 issued, so a connection buffers at most one read chunk plus one
 partial frame — there is no unbounded pending-frame queue to fill.
 
-The server runs ``serve_forever()`` on the calling thread (the CLI) or
-``serve_in_thread()`` on a daemon thread (tests, embedding); either
-way the public surface mirrors ``ProfileServer``: ``address``,
-``active_connections``, ``drain(timeout)``, ``server_close()``.
+The server runs ``serve_forever()`` on the calling thread or
+``serve_in_thread()`` on a daemon thread (the CLI, tests, embedding);
+either way the public surface is ``address``, ``active_connections``,
+``drain(timeout)`` and ``server_close()``.
 """
 
 from __future__ import annotations
@@ -41,13 +40,11 @@ import asyncio
 import concurrent.futures
 import socket
 import threading
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .protocol import (MAGIC, FrameParser, FrameTooLarge, FrameType,
-                       ProtocolError, decode_json, decode_push_seq,
-                       decode_state_push, encode_json, encode_retry_after,
-                       _HEADER)
-from .server import ProfileService
+                       ProtocolError, encode_retry_after, _HEADER)
+from .server import FRAME_HANDLERS, FrameHandler, ProfileService, Reply
 
 __all__ = ["AsyncProfileServer", "READ_CHUNK"]
 
@@ -84,6 +81,10 @@ class AsyncProfileServer:
         # which is fine for monotone counters).
         self.connections_total = 0
         self.max_parser_buffered = 0
+        #: The frames this transport answers: the service's table, with
+        #: METRICS answered by the page that adds the loop's gauges.
+        self.handlers: Dict[int, FrameHandler] = {
+            **FRAME_HANDLERS, FrameType.METRICS: FrameHandler(self._metrics)}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -292,96 +293,35 @@ class AsyncProfileServer:
 
     # -- dispatch ----------------------------------------------------------
 
-    async def _ingest_gated(self, writer: asyncio.StreamWriter,
-                            work) -> bool:
-        """Run one ingest under the service's bounded-slot gate.
-
-        The slot is held across the ack's ``drain()`` — a slow reader
-        therefore occupies an ingest slot, which is exactly the load
-        signal that should trip ``RETRY_AFTER`` for everyone else.
-        """
+    async def _dispatch(self, writer: asyncio.StreamWriter, ftype: int,
+                        payload: bytes) -> None:
+        handler = self.handlers.get(ftype)
+        if handler is None:
+            await self._send(writer, FrameType.ERROR,
+                             f"unsupported frame type "
+                             f"{FrameType.name(ftype)}".encode("utf-8"))
+            return
         service = self.service
+        if not handler.gated:
+            await self._send(writer, *handler.handle(service, payload))
+            return
         if not service.try_acquire_ingest_slot():
             service.note_backpressure()
             await self._send(writer, FrameType.RETRY_AFTER,
                              encode_retry_after(
                                  service.config.retry_after_seconds))
-            return False
+            return
+        # The slot is held across the reply's drain(): a slow reader
+        # occupies an ingest slot, which is exactly the load signal
+        # that should trip RETRY_AFTER for everyone else.
         try:
-            await work()
+            await self._send(writer, *handler.handle(service, payload))
         finally:
             service.release_ingest_slot()
-        return True
 
-    async def _dispatch(self, writer: asyncio.StreamWriter, ftype: int,
-                        payload: bytes) -> None:
-        service = self.service
-        if ftype == FrameType.PUSH:
-            async def work():
-                pset = service.ingest_payload(payload)
-                await self._send(writer, FrameType.OK,
-                                 f"merged {pset.total_ops()} ops over "
-                                 f"{len(pset)} operations".encode("utf-8"))
-            await self._ingest_gated(writer, work)
-        elif ftype == FrameType.PUSH_SEQ:
-            client_id, seq, profile = decode_push_seq(payload)
-
-            async def work():
-                try:
-                    status, _ = service.ingest_sequenced(
-                        client_id, seq, profile)
-                except ValueError as exc:
-                    # A payload damaged in transit is safe to resend
-                    # under the same sequence; other rejections are not.
-                    await self._send(writer, FrameType.ERROR,
-                                     f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                await self._send(writer, FrameType.OK,
-                                 status.encode("utf-8"))
-            await self._ingest_gated(writer, work)
-        elif ftype == FrameType.METRICS:
-            service.tick()
-            await self._send(writer, FrameType.TEXT,
-                             self.metrics_text().encode("utf-8"))
-        elif ftype == FrameType.SNAPSHOT:
-            await self._send(writer, FrameType.PROFILE,
-                             service.snapshot().to_bytes())
-        elif ftype == FrameType.ALERTS:
-            request = decode_json(payload) if payload else {}
-            cursor = int(request.get("cursor", 0))
-            service.tick()
-            next_cursor, alerts = service.alerts_since(cursor)
-            await self._send(writer, FrameType.ALERT_LOG, encode_json(
-                {"cursor": next_cursor,
-                 "alerts": [a.to_dict() for a in alerts]}))
-        elif ftype == FrameType.SQL:
-            request = decode_json(payload) if payload else {}
-            await self._send(writer, FrameType.TABLE,
-                             encode_json(service.sql(
-                                 str(request.get("sql", "")))))
-        elif ftype == FrameType.STATE_PUSH:
-            overhead_ns, profile = decode_state_push(payload)
-
-            async def state_work():
-                try:
-                    sprof = service.ingest_state(profile,
-                                                 overhead_ns=overhead_ns)
-                except ValueError as exc:
-                    await self._send(writer, FrameType.ERROR,
-                                     f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                await self._send(writer, FrameType.OK,
-                                 f"sampled {sprof.total_samples()} samples "
-                                 f"over {sprof.intervals} interval(s)"
-                                 .encode("utf-8"))
-            await self._ingest_gated(writer, state_work)
-        elif ftype == FrameType.STATE_SNAPSHOT:
-            await self._send(writer, FrameType.STATE_PROFILE,
-                             service.state_snapshot().to_bytes())
-        else:
-            await self._send(writer, FrameType.ERROR,
-                             f"unsupported frame type "
-                             f"{FrameType.name(ftype)}".encode("utf-8"))
+    def _metrics(self, service, payload: bytes) -> Reply:
+        service.tick()
+        return FrameType.TEXT, self.metrics_text().encode("utf-8")
 
     def metrics_text(self) -> str:
         """The service page plus the event-loop transport's own gauges."""

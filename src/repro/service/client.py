@@ -146,7 +146,12 @@ class Backoff:
 
 
 class ServiceClient:
-    """One connection to a :class:`~repro.service.server.ProfileServer`."""
+    """One blocking connection to a profiling service or relay.
+
+    Speaks the :mod:`repro.service.protocol` frames that
+    :class:`~repro.service.aio_server.AsyncProfileServer` serves; every
+    request is one frame out and one reply frame back.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
                  sock: Optional[socket.socket] = None):

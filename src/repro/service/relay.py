@@ -48,18 +48,23 @@ from ..core.faults import FaultPlan
 from ..core.profileset import ProfileSet
 from .aio_server import AsyncProfileServer
 from .client import Backoff, ResilientServiceClient
-from .protocol import FrameType, decode_json, decode_push_seq, encode_json, \
-    encode_push_seq
-from .server import ServiceConfig
+from .protocol import FrameType, decode_push_seq, encode_push_seq
+from .server import FrameHandler, Reply, ServiceConfig, bad_payload
 from .spool import Spool
 from .store import PushLedger
 
-__all__ = ["RelayState", "RelayService", "RelayServer"]
+__all__ = ["NOT_RELAYED", "RelayState", "RelayService", "RelayServer"]
 
 _STATE_FILE = "relay-state.json"
 #: Client id recorded for plain (unsequenced) ``PUSH`` entries; they
 #: carry no idempotence contract, so they never enter the ledger.
 _ANON = "-"
+
+#: Root-only frames a relay answers with ``unsupported frame type``: it
+#: keeps no warehouse to query and no wait-state window, and forwarding
+#: the sampled family would need a spool format of its own.
+NOT_RELAYED = (FrameType.SQL, FrameType.STATE_PUSH,
+               FrameType.STATE_SNAPSHOT)
 
 
 class RelayState:
@@ -215,7 +220,7 @@ class RelayService:
         relay crash; the ledger entry is rebuilt from the spool on
         restart, so the ack's loss cannot double-merge either.
         """
-        pset = ProfileSet.from_bytes(payload)  # ValueError -> bad-payload
+        pset = self._decode(payload)  # ValueError -> bad-payload
         with self._lock:
             if not self.ledger.is_new(client_id, seq):
                 self.duplicates += 1
@@ -231,7 +236,7 @@ class RelayService:
 
     def accept_payload(self, payload: bytes) -> ProfileSet:
         """Accept one plain (unsequenced) push; no dedup contract."""
-        pset = ProfileSet.from_bytes(payload)
+        pset = self._decode(payload)
         with self._lock:
             # Anonymous entries carry no idempotence contract; the
             # constant seq is a placeholder that never touches a ledger.
@@ -241,9 +246,14 @@ class RelayService:
             self.accepted_ops += pset.total_ops()
         return pset
 
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
+    def _decode(self, payload: bytes) -> ProfileSet:
+        """Decode one pushed profile, counting the ones that do not."""
+        try:
+            return ProfileSet.from_bytes(payload)
+        except ValueError:
+            with self._lock:
+                self.rejected += 1
+            raise
 
     # -- self-defence accounting (same surface as ProfileService) -----------
 
@@ -424,18 +434,26 @@ class RelayServer(AsyncProfileServer):
     """Event-loop front end for a :class:`RelayService`.
 
     Reuses the entire asyncio transport (read timeouts, header-only
-    frame guard, bounded-slot backpressure, drain) and swaps the
-    dispatch: pushes are spooled-and-acked instead of merged into a
-    store, and a **forwarder thread** ships complete batches upstream
-    off the event loop (the one blocking hop a leaf has).  With
-    ``flush_interval`` set, partial batches are flushed on that cadence
-    too, so a trickle of collectors still reaches the root.
+    frame guard, bounded-slot backpressure, drain) and the root's frame
+    table, overriding only ``PUSH``/``PUSH_SEQ``: pushes are
+    spooled-and-acked instead of merged into a store, and the frames
+    in :data:`NOT_RELAYED` are refused.  A **forwarder thread** ships
+    complete batches upstream off the event loop (the one blocking hop
+    a leaf has).  With ``flush_interval`` set, partial batches are
+    flushed on that cadence too, so a trickle of collectors still
+    reaches the root.
     """
 
     def __init__(self, relay: RelayService, host: str = "127.0.0.1",
                  port: int = 0, flush_interval: Optional[float] = 1.0):
         super().__init__(service=relay, host=host, port=port)
         self.relay = relay
+        # The root's frame table, with pushes spooled instead of merged.
+        for ftype in NOT_RELAYED:
+            del self.handlers[ftype]
+        self.handlers[FrameType.PUSH] = FrameHandler(self._push, gated=True)
+        self.handlers[FrameType.PUSH_SEQ] = FrameHandler(self._push_seq,
+                                                         gated=True)
         self.flush_interval = flush_interval
         self._forward_wake = threading.Event()
         self._forward_stop = threading.Event()
@@ -504,61 +522,19 @@ class RelayServer(AsyncProfileServer):
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, writer, ftype: int, payload: bytes) -> None:
-        relay = self.relay
-        if ftype == FrameType.PUSH:
-            async def work():
-                try:
-                    pset = relay.accept_payload(payload)
-                except ValueError:
-                    relay.note_rejected()
-                    raise
-                await self._send(writer, FrameType.OK,
-                                 f"relayed {pset.total_ops()} ops over "
-                                 f"{len(pset)} operations".encode("utf-8"))
-            if await self._ingest_gated(writer, work):
-                self._maybe_forward()
-        elif ftype == FrameType.PUSH_SEQ:
-            client_id, seq, profile = decode_push_seq(payload)
+    def _push(self, relay: RelayService, payload: bytes) -> Reply:
+        pset = relay.accept_payload(payload)
+        self._maybe_forward()
+        return FrameType.OK, (f"relayed {pset.total_ops()} ops over "
+                              f"{len(pset)} operations").encode("utf-8")
 
-            async def work():
-                try:
-                    status, _ = relay.accept_sequenced(client_id, seq,
-                                                       profile)
-                except ValueError as exc:
-                    relay.note_rejected()
-                    await self._send(writer, FrameType.ERROR,
-                                     f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                await self._send(writer, FrameType.OK,
-                                 status.encode("utf-8"))
-            if await self._ingest_gated(writer, work):
-                self._maybe_forward()
-        elif ftype == FrameType.METRICS:
-            await self._send(writer, FrameType.TEXT,
-                             self.metrics_text().encode("utf-8"))
-        elif ftype == FrameType.SNAPSHOT:
-            await self._send(writer, FrameType.PROFILE,
-                             relay.snapshot().to_bytes())
-        elif ftype == FrameType.ALERTS:
-            request = decode_json(payload) if payload else {}
-            cursor = int(request.get("cursor", 0))
-            next_cursor, alerts = relay.alerts_since(cursor)
-            await self._send(writer, FrameType.ALERT_LOG, encode_json(
-                {"cursor": next_cursor, "alerts": alerts}))
-        else:
-            await self._send(writer, FrameType.ERROR,
-                             f"unsupported frame type "
-                             f"{FrameType.name(ftype)}".encode("utf-8"))
+    def _push_seq(self, relay: RelayService, payload: bytes) -> Reply:
+        client_id, seq, profile = decode_push_seq(payload)
+        reply = bad_payload(
+            lambda: relay.accept_sequenced(client_id, seq, profile)[0])
+        self._maybe_forward()
+        return reply
 
     def _maybe_forward(self) -> None:
         if len(self.relay.pending_entries()) >= self.relay.batch:
             self.signal_forward()
-
-    def metrics_text(self) -> str:
-        return (self.relay.metrics_text()
-                + f"osprof_aio_connections_active "
-                  f"{self.active_connections}\n"
-                + f"osprof_aio_connections_total {self.connections_total}\n"
-                + f"osprof_aio_parser_buffered_max "
-                  f"{self.max_parser_buffered}\n")

@@ -1,13 +1,17 @@
-"""The continuous profiling server: ingest, store, alert, report.
+"""The continuous profiling service: ingest, store, alert, report.
 
 :class:`ProfileService` is the transport-agnostic core — a thread-safe
 facade over the rolling :class:`~repro.service.store.SegmentStore` and
-the :class:`~repro.service.alerts.DifferentialAlerter` — and
-:class:`ProfileServer` exposes it over TCP with the
-:mod:`repro.service.protocol` framing.  One thread per connection
-(collectors hold connections open and stream ``PUSH`` frames); all
-shared state is guarded by a single lock, which is ample because a
-profile merge is microseconds of histogram addition.
+the :class:`~repro.service.alerts.DifferentialAlerter`.  All shared
+state is guarded by a single lock, which is ample because a profile
+merge is microseconds of histogram addition.
+
+:data:`FRAME_HANDLERS` is the service's whole request surface as one
+sans-IO table: each :mod:`repro.service.protocol` frame type maps to a
+handler from ``(service, payload)`` to ``(reply type, reply payload)``,
+and marks whether it runs under the bounded ingest slot.  The event-loop
+transport (:mod:`repro.service.aio_server`) serves the table, and the
+relay (:mod:`repro.service.relay`) serves it with its own push handlers.
 
 The service is itself observable: the ``METRICS`` request returns a
 plaintext page (Prometheus exposition style) of segment counts, ingest
@@ -16,25 +20,23 @@ totals and latencies, and per-operation alert counters.
 
 from __future__ import annotations
 
-import socket
-import socketserver
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..core.buckets import BucketSpec
 from ..core.profileset import ProfileSet
 from ..sampling.stateprofile import StateProfile
 from .alerts import Alert, DifferentialAlerter
-from .protocol import (MAX_PAYLOAD, FrameTooLarge, FrameType, ProtocolError,
-                       decode_json, decode_push_seq, decode_state_push,
-                       encode_json, encode_retry_after, recv_frame,
-                       send_frame)
+from .protocol import (MAX_PAYLOAD, FrameType, decode_json, decode_push_seq,
+                       decode_state_push, encode_json)
 from .store import PushLedger, SegmentStore
 
-__all__ = ["ServiceConfig", "ProfileService", "ProfileServer"]
+__all__ = ["FRAME_HANDLERS", "FrameHandler", "ProfileService",
+           "ServiceConfig", "bad_payload"]
 
 
 @dataclass
@@ -229,13 +231,10 @@ class ProfileService:
             self.sample_intervals_total += sprof.intervals
             self.sampler_overhead_ns_total += max(overhead_ns, 0)
             if self.warehouse is not None:
-                ingest_state = getattr(self.warehouse, "ingest_state",
-                                       None)
-                if ingest_state is not None:
-                    try:
-                        ingest_state(self.warehouse_source, sprof)
-                    except (OSError, ValueError):
-                        self.warehouse_flush_errors += 1
+                try:
+                    self.warehouse.ingest_state(self.warehouse_source, sprof)
+                except (OSError, ValueError):
+                    self.warehouse_flush_errors += 1
         return sprof
 
     def state_snapshot(self) -> StateProfile:
@@ -316,14 +315,8 @@ class ProfileService:
             return
         batch = [(pset, self._epoch_base + index)
                  for index, pset in self._flush_queue]
-        ingest_many = getattr(self.warehouse, "ingest_many", None)
         try:
-            if ingest_many is not None:
-                ingest_many(self.warehouse_source, batch)
-            else:  # duck-typed warehouse double: per-segment commits
-                for pset, epoch in batch:
-                    self.warehouse.ingest(self.warehouse_source, pset,
-                                          epoch=epoch)
+            self.warehouse.ingest_many(self.warehouse_source, batch)
         except (OSError, ValueError):
             self.warehouse_flush_errors += 1
             for index, _ in self._flush_queue:
@@ -384,6 +377,7 @@ class ProfileService:
 
     def metrics_text(self) -> str:
         """The plaintext metrics page (Prometheus exposition style)."""
+        wh = self.warehouse
         with self._lock:
             lines = [
                 "# OSprof continuous profiling service",
@@ -408,24 +402,24 @@ class ProfileService:
                 f"osprof_read_timeouts_total {self.read_timeouts}",
                 f"osprof_push_clients {len(self.ledger)}",
                 f"osprof_warehouse_segments_total "
-                f"{self.warehouse.segments_total if self.warehouse else 0}",
+                f"{wh.segments_total if wh else 0}",
                 f"osprof_warehouse_compactions_total "
-                f"{self.warehouse.compactions_total if self.warehouse else 0}",
+                f"{wh.compactions_total if wh else 0}",
                 f"osprof_warehouse_gc_evictions_total "
-                f"{self.warehouse.gc_evictions_total if self.warehouse else 0}",
+                f"{wh.gc_evictions_total if wh else 0}",
                 f"osprof_warehouse_flush_errors_total "
                 f"{self.warehouse_flush_errors}",
                 f"osprof_warehouse_flush_pending {len(self._flush_queue)}",
                 f"osprof_warehouse_cache_hits_total "
-                f"{getattr(self.warehouse, 'cache_hits_total', 0)}",
+                f"{wh.cache_hits_total if wh else 0}",
                 f"osprof_warehouse_cache_misses_total "
-                f"{getattr(self.warehouse, 'cache_misses_total', 0)}",
+                f"{wh.cache_misses_total if wh else 0}",
                 f"osprof_warehouse_scrub_scanned_total "
-                f"{getattr(self.warehouse, 'scrub_scanned_total', 0)}",
+                f"{wh.scrub_scanned_total if wh else 0}",
                 f"osprof_warehouse_scrub_corrupt_total "
-                f"{getattr(self.warehouse, 'scrub_corrupt_total', 0)}",
+                f"{wh.scrub_corrupt_total if wh else 0}",
                 f"osprof_warehouse_scrub_repaired_total "
-                f"{getattr(self.warehouse, 'scrub_repaired_total', 0)}",
+                f"{wh.scrub_repaired_total if wh else 0}",
                 f"osprof_state_pushes_total {self.state_pushes}",
                 f"osprof_state_errors_total {self.state_errors}",
                 f"osprof_state_window {len(self._state_window)}",
@@ -446,202 +440,114 @@ class ProfileService:
             return "\n".join(lines) + "\n"
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One collector connection: a loop of request/response frames."""
+# -- the frame surface -------------------------------------------------------
 
-    def setup(self) -> None:
-        service: ProfileService = self.server.service  # type: ignore
-        if service.config.read_timeout is not None:
-            self.request.settimeout(service.config.read_timeout)
-        self.server._connection_opened()  # type: ignore[attr-defined]
-
-    def finish(self) -> None:
-        self.server._connection_closed()  # type: ignore[attr-defined]
-
-    def handle(self) -> None:
-        service: ProfileService = self.server.service  # type: ignore
-        while True:
-            try:
-                frame = recv_frame(self.request,
-                                   max_payload=service.config.max_frame_bytes)
-            except FrameTooLarge as exc:
-                # Reject from the header alone; tell the peer why, then
-                # drop the stream (its payload bytes would desync us).
-                service.note_oversize_frame()
-                try:
-                    send_frame(self.request, FrameType.ERROR,
-                               str(exc).encode("utf-8"))
-                except OSError:
-                    pass
-                return
-            except socket.timeout:
-                service.note_read_timeout()
-                return  # idle or wedged peer: reclaim the thread
-            except ProtocolError:
-                return  # desynchronized stream: drop the connection
-            except OSError:
-                return  # peer vanished between frames
-            if frame is None:
-                return
-            ftype, payload = frame
-            try:
-                self._dispatch(service, ftype, payload)
-            except ProtocolError:
-                return
-            except ValueError as exc:
-                send_frame(self.request, FrameType.ERROR,
-                           str(exc).encode("utf-8"))
-            except OSError:
-                return  # peer went away mid-reply
-
-    def _ingest_gated(self, service: ProfileService, work) -> bool:
-        """Run one ingest under the bounded-slot gate.
-
-        Returns False (after sending ``RETRY_AFTER``) when every slot is
-        taken — the bounded queue that sheds load instead of stacking
-        unbounded handler threads behind the store lock.
-        """
-        if not service.try_acquire_ingest_slot():
-            service.note_backpressure()
-            send_frame(self.request, FrameType.RETRY_AFTER,
-                       encode_retry_after(
-                           service.config.retry_after_seconds))
-            return False
-        try:
-            work()
-        finally:
-            service.release_ingest_slot()
-        return True
-
-    def _dispatch(self, service: ProfileService, ftype: int,
-                  payload: bytes) -> None:
-        if ftype == FrameType.PUSH:
-            def work():
-                pset = service.ingest_payload(payload)
-                send_frame(self.request, FrameType.OK,
-                           f"merged {pset.total_ops()} ops over "
-                           f"{len(pset)} operations".encode("utf-8"))
-            self._ingest_gated(service, work)
-        elif ftype == FrameType.PUSH_SEQ:
-            client_id, seq, profile = decode_push_seq(payload)
-
-            def work():
-                try:
-                    status, _ = service.ingest_sequenced(
-                        client_id, seq, profile)
-                except ValueError as exc:
-                    # Distinguish a payload damaged in transit (safe to
-                    # resend under the same sequence) from a genuine
-                    # rejection; the client retries `bad-payload:` only.
-                    send_frame(self.request, FrameType.ERROR,
-                               f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                send_frame(self.request, FrameType.OK,
-                           status.encode("utf-8"))
-            self._ingest_gated(service, work)
-        elif ftype == FrameType.METRICS:
-            service.tick()
-            send_frame(self.request, FrameType.TEXT,
-                       service.metrics_text().encode("utf-8"))
-        elif ftype == FrameType.SNAPSHOT:
-            send_frame(self.request, FrameType.PROFILE,
-                       service.snapshot().to_bytes())
-        elif ftype == FrameType.ALERTS:
-            request = decode_json(payload) if payload else {}
-            cursor = int(request.get("cursor", 0))
-            service.tick()
-            next_cursor, alerts = service.alerts_since(cursor)
-            send_frame(self.request, FrameType.ALERT_LOG, encode_json(
-                {"cursor": next_cursor,
-                 "alerts": [a.to_dict() for a in alerts]}))
-        elif ftype == FrameType.SQL:
-            request = decode_json(payload) if payload else {}
-            send_frame(self.request, FrameType.TABLE,
-                       encode_json(service.sql(str(request.get("sql",
-                                                               "")))))
-        elif ftype == FrameType.STATE_PUSH:
-            overhead_ns, profile = decode_state_push(payload)
-
-            def state_work():
-                try:
-                    sprof = service.ingest_state(profile,
-                                                 overhead_ns=overhead_ns)
-                except ValueError as exc:
-                    send_frame(self.request, FrameType.ERROR,
-                               f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                send_frame(self.request, FrameType.OK,
-                           f"sampled {sprof.total_samples()} samples "
-                           f"over {sprof.intervals} interval(s)"
-                           .encode("utf-8"))
-            self._ingest_gated(service, state_work)
-        elif ftype == FrameType.STATE_SNAPSHOT:
-            send_frame(self.request, FrameType.STATE_PROFILE,
-                       service.state_snapshot().to_bytes())
-        else:
-            send_frame(self.request, FrameType.ERROR,
-                       f"unsupported frame type "
-                       f"{FrameType.name(ftype)}".encode("utf-8"))
+#: One reply: ``(frame type, payload)``.
+Reply = Tuple[int, bytes]
 
 
-class ProfileServer(socketserver.ThreadingTCPServer):
-    """TCP front end; ``port=0`` picks a free port (see ``address``)."""
+class FrameHandler(NamedTuple):
+    """One entry of a frame table: ``handle(service, payload) -> Reply``.
 
-    allow_reuse_address = True
-    daemon_threads = True
+    A ``gated`` frame runs under the service's bounded ingest slot: the
+    transport claims a slot first (answering ``RETRY_AFTER`` when none
+    is free) and holds it until the reply is written.
+    """
 
-    def __init__(self, service: Optional[ProfileService] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.service = service if service is not None else ProfileService()
-        self._conn_lock = threading.Lock()
-        self._conn_idle = threading.Condition(self._conn_lock)
-        self._conn_active = 0
-        super().__init__((host, port), _Handler)
+    handle: Callable[[Any, bytes], Reply]
+    gated: bool = False
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — the port is real even if 0 was asked."""
-        return self.socket.getsockname()[:2]
 
-    def serve_in_thread(self) -> threading.Thread:
-        """Start serving on a daemon thread (tests and embedded use)."""
-        thread = threading.Thread(target=self.serve_forever,
-                                  name="osprof-serve", daemon=True)
-        thread.start()
-        return thread
+def _decode_request(payload: bytes) -> dict:
+    """The JSON object carried by an ``ALERTS``/``SQL`` request.
 
-    # -- connection accounting & graceful drain ----------------------------
+    An empty body is ``{}``.  Valid JSON that is not an object raises
+    :class:`ValueError`, which the transport answers with an ``ERROR``
+    frame on a connection that stays usable.
+    """
+    request = decode_json(payload) if payload else {}
+    if not isinstance(request, dict):
+        raise ValueError(f"request body must be a JSON object, "
+                         f"not {type(request).__name__}")
+    return request
 
-    def _connection_opened(self) -> None:
-        with self._conn_lock:
-            self._conn_active += 1
 
-    def _connection_closed(self) -> None:
-        with self._conn_lock:
-            self._conn_active -= 1
-            if self._conn_active <= 0:
-                self._conn_idle.notify_all()
+def bad_payload(ingest: Callable[[], str]) -> Reply:
+    """Ack one ingest with its status line, or answer ``bad-payload:``.
 
-    @property
-    def active_connections(self) -> int:
-        with self._conn_lock:
-            return self._conn_active
+    The prefix marks a payload that did not decode — damaged in transit,
+    so a resilient client resends it under the same sequence — apart
+    from every other rejection, which it must not retry.
+    """
+    try:
+        return FrameType.OK, ingest().encode("utf-8")
+    except ValueError as exc:
+        return FrameType.ERROR, f"bad-payload: {exc}".encode("utf-8")
 
-    def drain(self, timeout: float = 5.0) -> bool:
-        """Graceful shutdown: stop accepting, wait for in-flight peers.
 
-        Returns True if every connection finished inside *timeout*.
-        Handlers already parked on an idle read keep their sockets until
-        their read timeout expires, so the timeout here caps how long a
-        lingering ``watch`` client can hold shutdown hostage; leftovers
-        are abandoned to process exit (they are daemon threads).
-        """
-        self.shutdown()
-        deadline = time.monotonic() + max(timeout, 0.0)
-        with self._conn_lock:
-            while self._conn_active > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._conn_idle.wait(remaining)
-        return True
+def _push(service, payload: bytes) -> Reply:
+    pset = service.ingest_payload(payload)
+    return FrameType.OK, (f"merged {pset.total_ops()} ops over "
+                          f"{len(pset)} operations").encode("utf-8")
+
+
+def _push_seq(service, payload: bytes) -> Reply:
+    client_id, seq, profile = decode_push_seq(payload)
+    return bad_payload(
+        lambda: service.ingest_sequenced(client_id, seq, profile)[0])
+
+
+def _state_push(service, payload: bytes) -> Reply:
+    overhead_ns, profile = decode_state_push(payload)
+
+    def ingest() -> str:
+        sprof = service.ingest_state(profile, overhead_ns=overhead_ns)
+        return (f"sampled {sprof.total_samples()} samples over "
+                f"{sprof.intervals} interval(s)")
+    return bad_payload(ingest)
+
+
+def _metrics(service, payload: bytes) -> Reply:
+    service.tick()
+    return FrameType.TEXT, service.metrics_text().encode("utf-8")
+
+
+def _snapshot(service, payload: bytes) -> Reply:
+    return FrameType.PROFILE, service.snapshot().to_bytes()
+
+
+def _alerts(service, payload: bytes) -> Reply:
+    request = _decode_request(payload)
+    try:
+        cursor = int(request.get("cursor", 0))
+    except TypeError:  # null, list, object: ValueError covers the rest
+        raise ValueError(
+            f"bad alerts cursor {request['cursor']!r}") from None
+    service.tick()
+    next_cursor, alerts = service.alerts_since(cursor)
+    return FrameType.ALERT_LOG, encode_json(
+        {"cursor": next_cursor, "alerts": [a.to_dict() for a in alerts]})
+
+
+def _sql(service, payload: bytes) -> Reply:
+    query = str(_decode_request(payload).get("sql", ""))
+    return FrameType.TABLE, encode_json(service.sql(query))
+
+
+def _state_snapshot(service, payload: bytes) -> Reply:
+    return FrameType.STATE_PROFILE, service.state_snapshot().to_bytes()
+
+
+#: The service's request surface, frame type -> handler.  A transport
+#: looks a frame up here and answers a type with no entry with
+#: ``unsupported frame type``.
+FRAME_HANDLERS: Dict[int, FrameHandler] = {
+    FrameType.PUSH: FrameHandler(_push, gated=True),
+    FrameType.PUSH_SEQ: FrameHandler(_push_seq, gated=True),
+    FrameType.STATE_PUSH: FrameHandler(_state_push, gated=True),
+    FrameType.METRICS: FrameHandler(_metrics),
+    FrameType.SNAPSHOT: FrameHandler(_snapshot),
+    FrameType.ALERTS: FrameHandler(_alerts),
+    FrameType.SQL: FrameHandler(_sql),
+    FrameType.STATE_SNAPSHOT: FrameHandler(_state_snapshot),
+}

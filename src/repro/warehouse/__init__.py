@@ -18,7 +18,7 @@ sampled archives:
 * :mod:`repro.warehouse.columnar` — the columnar segment decoder and
   merge engine: struct-packed postings decoded once into flat arrays,
   merged without intermediate :class:`~repro.core.profileset.ProfileSet`
-  objects, byte-identical to the legacy path,
+  objects, byte-identical to ``ProfileSet.merged``,
 * :mod:`repro.warehouse.sql` — the analytics query engine behind
   ``osprof db sql``: SELECT / WHERE / GROUP BY / ORDER BY / LIMIT over
   warehouse dimensions with latency aggregates,
@@ -37,13 +37,12 @@ from .log import LogError, SegmentLog
 from .sql import (QueryError, QueryResult, SelectStatement, execute_sql,
                   parse_sql)
 from .tiers import CompactionPolicy, plan_compactions, plan_gc
-from .warehouse import ENGINES, ScrubReport, Warehouse, WarehouseError
+from .warehouse import ScrubReport, Warehouse, WarehouseError
 
 __all__ = [
     "Breach",
     "ColumnarSegment",
     "CompactionPolicy",
-    "ENGINES",
     "EXIT_BREACH",
     "GateReport",
     "LogError",

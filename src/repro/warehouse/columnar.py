@@ -1,9 +1,9 @@
 """Columnar decode and merge for warehouse segments.
 
-The legacy query path decodes every segment into a full
+Decoding every segment into a full
 :class:`~repro.core.profileset.ProfileSet` — one ``Profile`` +
 ``LatencyBuckets`` object pair per operation, one dict entry per bucket
-— and then merges dict-of-dict histograms.  That is fine for a single
+— and then merging dict-of-dict histograms is fine for a single
 capture, but a fleet warehouse answers range queries over hundreds of
 segments, and the object churn dominates.
 
@@ -22,12 +22,13 @@ Section-4 checksums still enforced) straight into flat columns:
 :func:`merged_profile_set` then merges any number of columnar segments
 (with their commit-log latency residuals) into a ``ProfileSet`` that is
 **byte-identical** to what ``ProfileSet.merged`` produces over the
-legacy ``Warehouse.load_segment`` path.  The equivalence argument:
-bucket counts and op totals are integer sums (order-free); min/max are
-plain comparisons; and the exact latency total is carried as a Shewchuk
-expansion grown with error-free two-sums, so *any* fold order
-represents the same exact real number, and ``math.fsum`` rounds that
-number identically no matter which path built the expansion.
+same segments decoded by ``Warehouse.load_segment`` (the tests'
+oracle).  The equivalence argument: bucket counts and op totals are
+integer sums (order-free); min/max are plain comparisons; and the exact
+latency total is carried as a Shewchuk expansion grown with error-free
+two-sums, so *any* fold order represents the same exact real number,
+and ``math.fsum`` rounds that number identically no matter which path
+built the expansion.
 """
 
 from __future__ import annotations
@@ -300,8 +301,9 @@ def merged_profile_set(
     exact total exactly as ``Warehouse.load_segment`` folds it.
     ``layer``/``op`` restrict the merge the way ``Warehouse.query``
     filters do.  The result is byte-identical to ``ProfileSet.merged``
-    over the equivalent legacy loads: empty name and attributes, spec
-    from the first segment, first-seen layer per operation.
+    over the equivalent ``load_segment`` decodes: empty name and
+    attributes, spec from the first segment, first-seen layer per
+    operation.
     """
     accs: Dict[str, _OpAccumulator] = {}
     resolution: Optional[int] = None

@@ -42,13 +42,6 @@ from .tiers import CompactionGroup, CompactionPolicy, plan_compactions, \
 
 __all__ = ["ScrubReport", "Warehouse", "WarehouseError"]
 
-#: Query/compaction engines: ``columnar`` (the default) decodes
-#: segments once into flat column arrays and merges those; ``legacy``
-#: is the original per-segment ProfileSet decode + dict merge, kept as
-#: the benchmark baseline and the reference the property tests compare
-#: against.  Both produce byte-identical results.
-ENGINES = ("columnar", "legacy")
-
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
 _SUFFIX = ".ospb"
 
@@ -89,21 +82,6 @@ def _check_name(kind: str, name: str) -> str:
     return name
 
 
-def _filtered(pset: ProfileSet, layer: Optional[str],
-              op: Optional[str]) -> ProfileSet:
-    """Restrict a set to one layer and/or operation (canonical copy)."""
-    if layer is None and op is None:
-        return pset
-    out = ProfileSet(spec=pset.spec)
-    for prof in pset:
-        if op is not None and prof.operation != op:
-            continue
-        if layer is not None and prof.layer != layer:
-            continue
-        out.insert(prof.copy())
-    return out
-
-
 class Warehouse:
     """Durable, append-only, queryable store of closed profile segments.
 
@@ -115,15 +93,9 @@ class Warehouse:
     """
 
     def __init__(self, root, policy: Optional[CompactionPolicy] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 engine: str = "columnar", mirror_dir=None):
-        if engine not in ENGINES:
-            raise WarehouseError(
-                f"unknown warehouse engine {engine!r} "
-                f"(choose from {', '.join(ENGINES)})")
+                 fault_plan: Optional[FaultPlan] = None, mirror_dir=None):
         self.root = Path(root)
         self.policy = policy if policy is not None else CompactionPolicy()
-        self.engine = engine
         self._plan = fault_plan if fault_plan is not None else FaultPlan()
         self._fault_attempts: Dict[str, int] = {}
         self._lock = threading.Lock()
@@ -439,15 +411,10 @@ class Warehouse:
         with self._lock:
             metas = self.index.select(source, layer=layer, op=op,
                                       t0=t0, t1=t1)
-            if self.engine == "columnar":
-                pairs = [(self.load_columns(meta), meta) for meta in metas]
-        if self.engine == "columnar":
-            return merged_profile_set(
-                ((cols, dict(meta.resid)) for cols, meta in pairs),
-                layer=layer, op=op)
-        psets = [_filtered(self.load_segment(meta), layer, op)
-                 for meta in metas]
-        return ProfileSet.merged(psets)
+            pairs = [(self.load_columns(meta), meta) for meta in metas]
+        return merged_profile_set(
+            ((cols, dict(meta.resid)) for cols, meta in pairs),
+            layer=layer, op=op)
 
     def query_states(self, source: str, t0: Optional[int] = None,
                      t1: Optional[int] = None) -> StateProfile:
@@ -511,13 +478,9 @@ class Warehouse:
     def _compact_group(self, group: CompactionGroup) -> SegmentMeta:
         # Lock held.  Merge order is pinned by the plan's (epoch,
         # seg_id) sort, so equal histories compact to identical bytes.
-        if self.engine == "columnar":
-            merged = merged_profile_set(
-                (self.load_columns(meta), dict(meta.resid))
-                for meta in group.inputs)
-        else:
-            merged = ProfileSet.merged(
-                self.load_segment(meta) for meta in group.inputs)
+        merged = merged_profile_set(
+            (self.load_columns(meta), dict(meta.resid))
+            for meta in group.inputs)
         payload = merged.to_bytes()
         resid = []
         for prof in merged:

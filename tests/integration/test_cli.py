@@ -294,14 +294,15 @@ class TestResilienceFlags:
         assert "give saved dumps" in capsys.readouterr().err
 
     def test_spool_only_drain_mode(self, tmp_path, capsys):
-        from repro.service.server import ProfileServer, ProfileService
+        from repro.service.aio_server import AsyncProfileServer
+        from repro.service.server import ProfileService
         from repro.service.spool import Spool
         from repro.core.profileset import ProfileSet
         spool_dir = tmp_path / "spool"
         blob = ProfileSet.from_operation_latencies(
             {"read": [100.0] * 10}).to_bytes()
         Spool(str(spool_dir)).append(blob)
-        server = ProfileServer(ProfileService())
+        server = AsyncProfileServer(ProfileService())
         server.serve_in_thread()
         try:
             host, port = server.address
@@ -311,7 +312,6 @@ class TestResilienceFlags:
             assert "drained 1" in capsys.readouterr().err
             assert server.service.ingest_requests == 1
         finally:
-            server.shutdown()
             server.server_close()
 
     def test_serve_parser_accepts_hardening_flags(self):

@@ -10,7 +10,8 @@ import pytest
 
 from repro.cli import main
 from repro.sampling import StateProfile
-from repro.service.server import ProfileServer, ProfileService
+from repro.service.aio_server import AsyncProfileServer
+from repro.service.server import ProfileService
 from repro.warehouse import Warehouse
 
 RUN_ARGS = ["run", "randomread", "--processes", "2",
@@ -64,10 +65,9 @@ class TestRunSampled:
 @pytest.fixture
 def server(tmp_path):
     service = ProfileService(warehouse=Warehouse(tmp_path / "wh"))
-    srv = ProfileServer(service)
+    srv = AsyncProfileServer(service)
     srv.serve_in_thread()
     yield srv
-    srv.shutdown()
     srv.server_close()
 
 

@@ -9,7 +9,6 @@ exit 0; every malformed query exits 1 with one ``osprof: error:`` line
 import csv
 import io
 import json
-import threading
 
 import pytest
 
@@ -104,10 +103,11 @@ class TestErrorHandling:
 
 class TestServiceMode:
     def test_endpoint_queries_live_service(self, db, capsys):
-        from repro.service.server import ProfileServer, ProfileService
+        from repro.service.aio_server import AsyncProfileServer
+        from repro.service.server import ProfileService
         service = ProfileService(warehouse=Warehouse(db))
-        server = ProfileServer(service, host="127.0.0.1", port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        server = AsyncProfileServer(service)
+        server.serve_in_thread()
         host, port = server.address
         try:
             rc = main(["db", "sql", "SELECT count()",
@@ -121,4 +121,4 @@ class TestServiceMode:
             assert rc == 1
             assert capsys.readouterr().err.startswith("osprof: error:")
         finally:
-            server.shutdown()
+            server.server_close()

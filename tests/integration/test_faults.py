@@ -22,7 +22,8 @@ from repro.core.profile import Layer
 from repro.core.profileset import ProfileSet
 from repro.core.shard import DEGRADED_ATTRIBUTE, collect_sharded
 from repro.service.client import Backoff, ResilientServiceClient
-from repro.service.server import ProfileServer, ProfileService, ServiceConfig
+from repro.service.aio_server import AsyncProfileServer
+from repro.service.server import ProfileService, ServiceConfig
 
 SEED = int(os.environ.get("OSPROF_FAULT_SEED", "2006"))
 
@@ -39,10 +40,10 @@ def pset(latency=100.0, ops=20):
 
 @pytest.fixture
 def server():
-    srv = ProfileServer(ProfileService(ServiceConfig(segment_seconds=3600.0)))
+    srv = AsyncProfileServer(ProfileService(
+        ServiceConfig(segment_seconds=3600.0)))
     srv.serve_in_thread()
     yield srv
-    srv.shutdown()
     srv.server_close()
 
 
@@ -212,7 +213,6 @@ class TestRelayFaultMatrix:
     ]
 
     def run_tree(self, tmp_path, fault_plan):
-        from repro.service.aio_server import AsyncProfileServer
         from repro.service.relay import RelayService
 
         root_service = ProfileService(ServiceConfig(segment_seconds=3600.0))
@@ -268,7 +268,7 @@ class TestKillServerMidPush:
     """The acceptance e2e: spool drains to zero loss across a restart."""
 
     def test_spool_survives_restart_with_zero_loss(self, tmp_path):
-        first = ProfileServer(ProfileService(
+        first = AsyncProfileServer(ProfileService(
             ServiceConfig(segment_seconds=3600.0)))
         first.serve_in_thread()
         host, port = first.address
@@ -289,7 +289,7 @@ class TestKillServerMidPush:
 
         second_service = ProfileService(
             ServiceConfig(segment_seconds=3600.0))
-        second = ProfileServer(second_service, host=host, port=port)
+        second = AsyncProfileServer(second_service, host=host, port=port)
         second.serve_in_thread()
         try:
             delivered = client.drain()
@@ -304,14 +304,13 @@ class TestKillServerMidPush:
             assert snap["read"].counts() == expected["read"].counts()
         finally:
             client.close()
-            second.shutdown()
             second.server_close()
 
     def test_redelivery_after_lost_ack_cannot_double_merge(self, tmp_path):
         # Crash the client after the server merged but before the spool
         # entry was removed: the restarted client redelivers, and the
         # ledger (same persisted client id) absorbs the duplicate.
-        server = ProfileServer(ProfileService(
+        server = AsyncProfileServer(ProfileService(
             ServiceConfig(segment_seconds=3600.0)))
         server.serve_in_thread()
         host, port = server.address
@@ -334,7 +333,6 @@ class TestKillServerMidPush:
             assert server.service.ingest_duplicates == 1
             assert server.service.snapshot()["read"].total_ops == 20
         finally:
-            server.shutdown()
             server.server_close()
 
 

@@ -21,7 +21,8 @@ import pytest
 
 from repro.core.profileset import ProfileSet
 from repro.service.client import ServiceClient
-from repro.service.server import ProfileServer, ProfileService, ServiceConfig
+from repro.service.aio_server import AsyncProfileServer
+from repro.service.server import ProfileService, ServiceConfig
 from repro.workloads.runner import collect_profiles
 
 
@@ -46,11 +47,10 @@ def server():
         ServiceConfig(segment_seconds=30.0, retention=64,
                       baseline_segments=4, threshold=0.5, min_ops=50),
         clock=clock)
-    srv = ProfileServer(service)
+    srv = AsyncProfileServer(service)
     srv.test_clock = clock
     srv.serve_in_thread()
     yield srv
-    srv.shutdown()
     srv.server_close()
 
 

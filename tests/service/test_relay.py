@@ -14,7 +14,10 @@ import pytest
 
 from repro.core.profileset import ProfileSet
 from repro.service.aio_server import AsyncProfileServer
-from repro.service.client import ServiceUnavailableError
+from repro.service.client import ServiceClient, ServiceUnavailableError
+from repro.service.protocol import (FrameType, encode_json,
+                                    encode_state_push, recv_frame,
+                                    send_frame)
 from repro.service.relay import RelayServer, RelayService, RelayState
 from repro.service.server import ProfileService, ServiceConfig
 
@@ -261,5 +264,28 @@ class TestRelayServer:
             assert relay.pending_entries() == []
             assert service.snapshot().to_bytes() == \
                 ProfileSet.merged(sent).to_bytes()
+        finally:
+            leaf.server_close()
+
+    def test_root_only_frames_refused_connection_survives(self, tmp_path):
+        relay = make_relay(tmp_path, ("127.0.0.1", 1))
+        leaf = RelayServer(relay, flush_interval=None)
+        leaf.serve_in_thread()
+        try:
+            with ServiceClient(*leaf.address) as client:
+                for ftype, body in (
+                        (FrameType.SQL, encode_json({"sql": "SELECT 1"})),
+                        (FrameType.STATE_PUSH, encode_state_push(0, b"")),
+                        (FrameType.STATE_SNAPSHOT, b"")):
+                    send_frame(client._sock, ftype, body)
+                    rtype, payload = recv_frame(client._sock)
+                    assert rtype == FrameType.ERROR
+                    assert FrameType.name(ftype) in payload.decode()
+                status = client.push_sequenced("c1", 1, pset().to_bytes())
+                assert "relayed" in status
+                page = client.metrics()
+            assert "osprof_relay_accepted_total 1" in page
+            assert "osprof_aio_connections_active 1" in page
+            assert "osprof_aio_parser_buffered_max" in page
         finally:
             leaf.server_close()

@@ -10,7 +10,8 @@ from repro.service.client import (Backoff, ResilientServiceClient,
                                   RetryAfter, ServiceClient, ServiceError,
                                   ServiceUnavailableError, is_retryable)
 from repro.service.protocol import ProtocolError
-from repro.service.server import ProfileServer, ProfileService, ServiceConfig
+from repro.service.aio_server import AsyncProfileServer
+from repro.service.server import ProfileService, ServiceConfig
 
 
 def pset(latency=100.0, ops=20):
@@ -19,11 +20,10 @@ def pset(latency=100.0, ops=20):
 
 @pytest.fixture
 def server():
-    srv = ProfileServer(ProfileService(ServiceConfig(
+    srv = AsyncProfileServer(ProfileService(ServiceConfig(
         segment_seconds=60.0, retry_after_seconds=0.01)))
     srv.serve_in_thread()
     yield srv
-    srv.shutdown()
     srv.server_close()
 
 

@@ -1,16 +1,18 @@
-"""Tests for the profiling service core and its TCP front end."""
+"""Tests for the profiling service core, its frame table and transport."""
 
 import socket
-import struct
-import time
 
 import pytest
 
 from repro.core.profileset import ProfileSet
+from repro.service.aio_server import AsyncProfileServer
 from repro.service.client import ServiceClient, ServiceError, parse_endpoint
-from repro.service.protocol import (MAGIC, FrameType, decode_retry_after,
-                                    encode_push_seq, recv_frame, send_frame)
-from repro.service.server import ProfileServer, ProfileService, ServiceConfig
+from repro.service.protocol import (FrameType, decode_retry_after,
+                                    encode_json, encode_push_seq,
+                                    recv_frame, send_frame)
+from repro.service.server import (FRAME_HANDLERS, ProfileService,
+                                  ServiceConfig)
+from repro.warehouse import Warehouse
 
 
 class FakeClock:
@@ -41,10 +43,9 @@ def service():
 
 @pytest.fixture
 def server(service):
-    srv = ProfileServer(service)
+    srv = AsyncProfileServer(service)
     srv.serve_in_thread()
     yield srv
-    srv.shutdown()
     srv.server_close()
 
 
@@ -146,6 +147,41 @@ class TestTcpFrontEnd:
         assert server.address[1] > 0
 
 
+class TestFrameTable:
+    """One sans-IO table answers every frame, with or without a socket."""
+
+    def test_handlers_need_no_socket(self, service):
+        push = FRAME_HANDLERS[FrameType.PUSH]
+        assert push.handle(service, pset(STEADY).to_bytes())[0] \
+            == FrameType.OK
+        rtype, payload = FRAME_HANDLERS[FrameType.SNAPSHOT].handle(
+            service, b"")
+        assert rtype == FrameType.PROFILE
+        assert ProfileSet.from_bytes(payload)["read"].total_ops == 100
+
+    def test_only_ingest_frames_are_gated(self):
+        assert {ftype for ftype, handler in FRAME_HANDLERS.items()
+                if handler.gated} == {FrameType.PUSH, FrameType.PUSH_SEQ,
+                                      FrameType.STATE_PUSH}
+
+    @pytest.mark.parametrize("ftype,body,needle", [
+        pytest.param(FrameType.ALERTS, [1], "JSON object", id="alerts-list"),
+        pytest.param(FrameType.SQL, "x", "JSON object", id="sql-string"),
+        pytest.param(FrameType.ALERTS, {"cursor": None}, "cursor",
+                     id="alerts-null-cursor"),
+        pytest.param(FrameType.ALERTS, {"cursor": "abc"}, "abc",
+                     id="alerts-text-cursor"),
+    ])
+    def test_bad_request_body_is_an_error_reply(self, client, ftype, body,
+                                                needle):
+        send_frame(client._sock, ftype, encode_json(body))
+        rtype, payload = recv_frame(client._sock)
+        assert rtype == FrameType.ERROR
+        assert needle in payload.decode()
+        # Same connection still works.
+        assert "ops" in client.push(pset(STEADY))
+
+
 class TestSequencedIngest:
     def test_new_sequences_merge(self, service):
         payload = pset(STEADY).to_bytes()
@@ -218,44 +254,6 @@ class TestHardening:
                 service.release_ingest_slot()
         assert service.backpressure_rejections == 1
 
-    def test_oversize_frame_rejected_and_counted(self, service):
-        server = ProfileServer(ProfileService(ServiceConfig(
-            max_frame_bytes=1024)))
-        server.serve_in_thread()
-        try:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                # Header only: the server must reject from the declared
-                # length without waiting for payload bytes.
-                sock.sendall(MAGIC + struct.pack("<BI", FrameType.PUSH,
-                                                 1 << 20))
-                ftype, payload = recv_frame(sock)
-                assert ftype == FrameType.ERROR
-                assert b"limit" in payload
-                assert sock.recv(1024) == b""  # connection dropped
-            assert server.service.frames_oversize == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_idle_connection_times_out_and_is_counted(self):
-        server = ProfileServer(ProfileService(ServiceConfig(
-            read_timeout=0.05)))
-        server.serve_in_thread()
-        try:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                sock.settimeout(5.0)
-                assert sock.recv(1024) == b""  # server reclaimed it
-            deadline = time.monotonic() + 5.0
-            while (server.service.read_timeouts == 0
-                    and time.monotonic() < deadline):
-                time.sleep(0.01)
-            assert server.service.read_timeouts == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-
     def test_rejects_nonpositive_max_pending(self):
         with pytest.raises(ValueError):
             ProfileService(ServiceConfig(max_pending=0))
@@ -263,28 +261,9 @@ class TestHardening:
 
 class TestGracefulDrain:
     def test_drain_idle_server_is_immediate(self, service):
-        server = ProfileServer(service)
+        server = AsyncProfileServer(service)
         server.serve_in_thread()
         assert server.drain(timeout=5.0)
-        assert server.active_connections == 0
-        server.server_close()
-
-    def test_drain_waits_for_inflight_connection(self, service):
-        server = ProfileServer(service)
-        server.serve_in_thread()
-        host, port = server.address
-        sock = socket.create_connection((host, port), timeout=10)
-        deadline = time.monotonic() + 5.0
-        while (server.active_connections == 0
-                and time.monotonic() < deadline):
-            time.sleep(0.01)
-        assert server.active_connections == 1
-        assert not server.drain(timeout=0.05)  # peer still connected
-        sock.close()
-        deadline = time.monotonic() + 5.0
-        while (server.active_connections > 0
-                and time.monotonic() < deadline):
-            time.sleep(0.01)
         assert server.active_connections == 0
         server.server_close()
 
@@ -306,7 +285,6 @@ class TestWarehouseIntegration:
     """serve --db: closed segments flush durably, restarts seed history."""
 
     def build(self, tmp_path, **overrides):
-        from repro.warehouse import Warehouse
         config = dict(segment_seconds=5.0, retention=4,
                       baseline_segments=3, threshold=0.5, min_ops=10)
         config.update(overrides)
@@ -372,27 +350,15 @@ class TestWarehouseIntegration:
         assert any(a.operation == "read" for a in alerts)
 
     def test_flush_failure_is_counted_not_fatal(self, tmp_path):
-        class BrokenWarehouse:
-            segments_total = 0
-            compactions_total = 0
-            gc_evictions_total = 0
-
-            class index:
-                @staticmethod
-                def next_epoch(source):
-                    return 0
-
-            def recent_psets(self, source, count):
-                return []
-
-            def ingest(self, source, pset, epoch=None):
+        class BrokenWarehouse(Warehouse):
+            def ingest_many(self, source, batch):
                 raise OSError("disk full")
 
         clock = FakeClock()
         svc = ProfileService(
             ServiceConfig(segment_seconds=5.0, retention=4,
                           baseline_segments=3, min_ops=10),
-            clock=clock, warehouse=BrokenWarehouse(),
+            clock=clock, warehouse=BrokenWarehouse(tmp_path / "db"),
             warehouse_source="svc")
         svc.ingest_payload(pset(STEADY).to_bytes())
         clock.now += 5.0

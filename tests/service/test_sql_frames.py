@@ -1,22 +1,19 @@
-"""SQL over the wire: the ``SQL``/``TABLE`` frame pair on both transports.
+"""SQL over the wire: the ``SQL``/``TABLE`` frame pair.
 
 The service is a thin adapter here — flush queued segments, hand the
 query to the warehouse engine, JSON the table back.  What needs pinning
 is the seams: results match a direct ``execute_sql`` against the same
 directory, queued-but-unflushed ingest is visible to a query, every
 failure mode (no ``--db``, bad query, missing baseline) arrives as a
-clean ``ServiceError``, and both servers speak the same frames.
+clean ``ServiceError`` on a connection that stays usable.
 """
-
-import threading
 
 import pytest
 
 from repro.core.profileset import ProfileSet
 from repro.service.aio_server import AsyncProfileServer
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import (ProfileServer, ProfileService,
-                                  ServiceConfig)
+from repro.service.server import ProfileService, ServiceConfig
 from repro.warehouse import Warehouse, execute_sql
 
 
@@ -26,25 +23,13 @@ def pset(seed=0, ops=20):
          "write": [4000 + seed * 5 + i * 11 for i in range(ops // 2)]})
 
 
-def threaded_server(service):
-    server = ProfileServer(service, host="127.0.0.1", port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
-
-
-def aio_server(service):
-    server = AsyncProfileServer(service)
-    server.serve_in_thread()
-    return server
-
-
-@pytest.fixture(params=["threaded", "aio"])
-def server_for(request):
+@pytest.fixture
+def server_for():
     servers = []
 
     def start(service):
-        server = (threaded_server if request.param == "threaded"
-                  else aio_server)(service)
+        server = AsyncProfileServer(service)
+        server.serve_in_thread()
         servers.append(server)
         return server
 

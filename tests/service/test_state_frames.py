@@ -1,10 +1,8 @@
-"""Wait-state frames (``STATE_PUSH``/``STATE_SNAPSHOT``) on both transports.
+"""Wait-state frames (``STATE_PUSH``/``STATE_SNAPSHOT``) over the wire.
 
-The contract is transport-independent: the blocking client pushes a
-StateProfile, the service folds it into its rolling state window (and
-its warehouse, when one is attached), and the snapshot comes back as
-one canonically merged profile — identical through the threaded server
-and the event loop.
+The blocking client pushes a StateProfile, the service folds it into
+its rolling state window (and its warehouse, when one is attached), and
+the snapshot comes back as one canonically merged profile.
 """
 
 import pytest
@@ -14,8 +12,7 @@ from repro.service.aio_server import AsyncProfileServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (FrameType, ProtocolError,
                                     decode_state_push, encode_state_push)
-from repro.service.server import (ProfileServer, ProfileService,
-                                  ServiceConfig)
+from repro.service.server import ProfileService, ServiceConfig
 from repro.warehouse import Warehouse
 
 
@@ -56,26 +53,19 @@ def make_service(**config_kwargs):
     return ProfileService(config=ServiceConfig(**config_kwargs))
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server_factory(request):
-    """Build either transport around a service; yields (service, addr)."""
+@pytest.fixture
+def server_factory():
+    """Serve a service; the factory returns its address."""
     opened = []
 
     def build(service):
-        if request.param == "threaded":
-            server = ProfileServer(service)
-            server.serve_in_thread()
-            opened.append(("threaded", server))
-        else:
-            server = AsyncProfileServer(service)
-            server.serve_in_thread()
-            opened.append(("async", server))
+        server = AsyncProfileServer(service)
+        server.serve_in_thread()
+        opened.append(server)
         return server.address
 
     yield build
-    for flavor, server in opened:
-        if flavor == "threaded":
-            server.shutdown()
+    for server in opened:
         server.server_close()
 
 

@@ -60,6 +60,25 @@ def random_pset(seed):
     return out
 
 
+def filtered(pset, layer, op):
+    """Restrict a set to one layer and/or operation (canonical copy)."""
+    if layer is None and op is None:
+        return pset
+    out = ProfileSet(spec=pset.spec)
+    for prof in pset:
+        if op in (None, prof.operation) and layer in (None, prof.layer):
+            out.insert(prof.copy())
+    return out
+
+
+def reference_query(wh, source, layer=None, op=None, t0=None, t1=None):
+    """The oracle for ``Warehouse.query``: ``ProfileSet.merged`` over
+    per-segment ``load_segment`` decodes of the same selection."""
+    metas = wh.index.select(source, layer=layer, op=op, t0=t0, t1=t1)
+    return ProfileSet.merged([filtered(wh.load_segment(meta), layer, op)
+                              for meta in metas])
+
+
 class TestDecode:
     @given(profile_sets())
     @settings(max_examples=60, deadline=None)
@@ -103,7 +122,7 @@ class TestColumnarMerge:
 
     def test_merge_matches_profileset_merged(self):
         # Without resid sidecars the reference is a merge of the decoded
-        # segments (rounded totals), exactly like the legacy query path.
+        # segments (rounded totals), exactly like reference_query.
         psets = [random_pset(seed) for seed in range(8)]
         merged = merged_profile_set(self.segments(psets))
         want = ProfileSet.merged([ProfileSet.from_bytes(p.to_bytes())
@@ -130,11 +149,10 @@ class TestColumnarMerge:
         (Layer.FILESYSTEM, None), (None, "read"),
         (Layer.USER, "llseek"), (Layer.NETWORK, None)])
     def test_filtered_merge_matches_legacy_filtering(self, layer, op):
-        from repro.warehouse.warehouse import _filtered
         psets = [random_pset(seed) for seed in range(6)]
         merged = merged_profile_set(self.segments(psets),
                                     layer=layer, op=op)
-        want = ProfileSet.merged([_filtered(p, layer, op) for p in psets])
+        want = ProfileSet.merged([filtered(p, layer, op) for p in psets])
         assert merged.to_bytes() == want.to_bytes()
 
     def test_empty_merge_is_default_empty_set(self):
@@ -151,7 +169,8 @@ class TestColumnarMerge:
 
 
 class TestEngineParity:
-    """columnar and legacy engines agree byte-for-byte on disk state."""
+    """The columnar engine agrees byte-for-byte with ``ProfileSet.merged``
+    over per-segment decodes, on live and compacted disk state."""
 
     def fill(self, wh, seeds):
         for epoch, seed in enumerate(seeds):
@@ -161,12 +180,11 @@ class TestEngineParity:
     def test_query_parity(self, tmp_path, seed0):
         wh = Warehouse(tmp_path, policy=SMALL)
         self.fill(wh, range(seed0, seed0 + 12))
-        legacy = Warehouse(tmp_path, policy=SMALL, engine="legacy")
         for kwargs in ({}, {"op": "read"}, {"layer": Layer.USER},
                        {"t0": 3, "t1": 9},
                        {"layer": Layer.FILESYSTEM, "op": "write"}):
             assert wh.query("web", **kwargs).to_bytes() \
-                == legacy.query("web", **kwargs).to_bytes()
+                == reference_query(wh, "web", **kwargs).to_bytes()
 
     def test_parity_through_compaction_and_reopen(self, tmp_path):
         raw = [random_pset(seed) for seed in range(40, 56)]
@@ -176,30 +194,22 @@ class TestEngineParity:
         while wh.compact():
             pass
         reopened = Warehouse(tmp_path, policy=SMALL)
-        legacy = Warehouse(tmp_path, policy=SMALL, engine="legacy")
         want = ProfileSet.merged(raw).to_bytes()
         assert reopened.query("web").to_bytes() == want
-        assert legacy.query("web").to_bytes() == want
+        assert reference_query(reopened, "web").to_bytes() == want
 
-    def test_compaction_outputs_identical_across_engines(self, tmp_path):
-        for engine in ("columnar", "legacy"):
-            wh = Warehouse(tmp_path / engine, policy=SMALL, engine=engine)
-            self.fill(wh, range(70, 82))
-            while wh.compact():
-                pass
-        columnar = Warehouse(tmp_path / "columnar", policy=SMALL)
-        legacy = Warehouse(tmp_path / "legacy", policy=SMALL)
-        cols_segs = columnar.segments("web")
-        legacy_segs = legacy.segments("web")
-        assert [(m.tier, m.epoch, m.epoch_end) for m in cols_segs] \
-            == [(m.tier, m.epoch, m.epoch_end) for m in legacy_segs]
-        for a, b in zip(cols_segs, legacy_segs):
-            assert columnar.load_segment(a).to_bytes() \
-                == legacy.load_segment(b).to_bytes()
-
-    def test_bad_engine_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="engine"):
-            Warehouse(tmp_path, engine="vectorized")
+    def test_compaction_outputs_match_merged_inputs(self, tmp_path):
+        raw = [random_pset(seed) for seed in range(70, 82)]
+        wh = Warehouse(tmp_path, policy=SMALL)
+        for epoch, pset in enumerate(raw):
+            wh.ingest("web", pset, epoch=epoch)
+        while wh.compact():
+            pass
+        outputs = [m for m in wh.segments("web") if m.tier > 0]
+        assert outputs
+        for meta in outputs:
+            want = ProfileSet.merged(raw[meta.epoch:meta.epoch_end + 1])
+            assert wh.load_segment(meta).to_bytes() == want.to_bytes()
 
 
 class TestColumnCache:
@@ -257,10 +267,3 @@ class TestColumnCache:
         wh._columns.clear()
         with pytest.raises(WarehouseError):
             wh.load_columns(wh.segments("web")[0])
-
-    def test_legacy_engine_does_not_populate_the_cache(self, tmp_path):
-        wh = Warehouse(tmp_path, engine="legacy")
-        wh.ingest("web", random_pset(8))
-        wh.query("web")
-        assert not wh._columns
-        assert (wh.cache_hits_total, wh.cache_misses_total) == (0, 0)
