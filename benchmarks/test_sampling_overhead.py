@@ -6,9 +6,10 @@ Two halves of the "always-on" claim:
   three layer profiles of a sampled run are byte-identical to an
   unsampled run under the same seed (always asserted, CI included);
 * bounded cost — the sampler's record path (one process-table walk per
-  tick) stays under a documented multiple of the unsampled wall time
-  at the default half-millisecond interval (threshold enforced only
-  outside CI, like every timing gate in this suite).
+  batch of ticks that fall between two engine events) stays under a
+  documented fraction of the unsampled wall time at the default
+  half-millisecond interval (threshold enforced only outside CI, like
+  every timing gate in this suite).
 """
 
 import os
@@ -24,11 +25,12 @@ ITERATIONS = 600
 INTERVAL = 0.0005 * 1.7e9  # 0.5 ms of simulated time, in cycles
 
 #: Documented bound: at a 0.5 ms sampling interval the sampler may add
-#: at most 75% to the wall time of a randomread run.  (Measured ~55-65%
-#: on an unloaded box — the tick walks the process table ~32k times for
-#: this run; the slack absorbs shared-runner noise.  Halving the rate
-#: to 1 ms roughly halves the cost.)
-OVERHEAD_BOUND = 0.75
+#: at most 30% to the wall time of a randomread run.  The engine hands
+#: the sampler all the ticks between two events in one call, so the
+#: ~32k ticks of this run cost one process-table walk per batch
+#: (measured +7% to +9% on a 2-vCPU VM); the slack absorbs
+#: shared-runner noise.
+OVERHEAD_BOUND = 0.30
 
 
 def run_plain():

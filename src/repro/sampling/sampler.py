@@ -4,10 +4,15 @@
 every *interval* cycles of **simulated** time it walks the kernel's
 process table and records, per live process, ``(state, layer, op,
 wait_site)`` into a :class:`~repro.sampling.stateprofile.StateProfile`.
-The tick is a self-rescheduling engine event — no wall-clock reads, no
-RNG draws, no pipeline interaction — so a sampled run is deterministic
-under a fixed seed and the measured latency profiles are byte-identical
-with the sampler on or off.
+The sampler is the engine's periodic observer
+(:meth:`repro.sim.engine.Engine.observe`), not an engine event: no
+process can change state between two events, so the engine hands it
+all the ticks that fell since the previous event at once and one walk
+of the process table records each cell with that many samples — the
+same bytes as one walk per tick.  No wall-clock reads, no RNG draws,
+no pipeline interaction, no events of its own: a sampled run is
+deterministic under a fixed seed and the measured latency profiles
+are byte-identical with the sampler on or off.
 
 The only wall-clock use is the ``overhead_ns_total`` health counter
 (how much real time the capture loop itself costs), which is exported
@@ -18,7 +23,7 @@ StateProfile bytes pinnable in CI.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim.process import ProcessState
 from ..sim.scheduler import Kernel
@@ -65,9 +70,9 @@ class WaitStateSampler:
 
     ``interval`` is in cycles (use :func:`repro.sim.engine.seconds` to
     express it in simulated seconds).  :meth:`start` arms the first
-    tick; sampling then continues until :meth:`stop`, surviving
-    ``run_until_done`` stop predicates because the tick is an ordinary
-    engine event.
+    tick one interval from now; sampling then continues until
+    :meth:`stop`, across any number of engine runs.  The sampler takes
+    the engine's single observer slot.
     """
 
     def __init__(self, kernel: Kernel, interval: float,
@@ -78,7 +83,7 @@ class WaitStateSampler:
         self.interval = float(interval)
         self.name = name
         self._profile = StateProfile(name=name, interval=self.interval)
-        self._tick_event = None
+        self._running = False
         # Health counters (metrics endpoint; never serialized).
         self.samples_total = 0
         self.intervals_total = 0
@@ -88,33 +93,32 @@ class WaitStateSampler:
 
     @property
     def running(self) -> bool:
-        return self._tick_event is not None
+        return self._running
 
     def start(self) -> None:
         """Arm the sampler; the first capture fires one interval from now."""
-        if self._tick_event is not None:
+        if self._running:
             raise RuntimeError("sampler already started")
-        self._tick_event = self.kernel.engine.schedule(
-            self.interval, self._tick)
+        self.kernel.engine.observe(self.interval, self._tick)
+        self._running = True
 
     def stop(self) -> None:
         """Disarm the sampler (idempotent)."""
-        if self._tick_event is not None:
-            self.kernel.engine.cancel(self._tick_event)
-            self._tick_event = None
+        if self._running:
+            self.kernel.engine.stop_observing()
+            self._running = False
 
     # -- the tick ------------------------------------------------------------
 
-    def _tick(self) -> None:
+    def _tick(self, ticks: int) -> None:
+        """Record *ticks* consecutive ticks of one unchanged process table."""
         started = time.perf_counter_ns()
-        self._capture()
-        self.intervals_total += 1
-        self._profile.intervals += 1
-        self._tick_event = self.kernel.engine.schedule(
-            self.interval, self._tick)
+        self._capture(ticks)
+        self.intervals_total += ticks
+        self._profile.intervals += ticks
         self.overhead_ns_total += time.perf_counter_ns() - started
 
-    def _capture(self) -> None:
+    def _capture(self, ticks: int) -> None:
         add = self._profile.add
         for proc in self.kernel.processes:
             if proc.state == ProcessState.DONE:
@@ -130,8 +134,8 @@ class WaitStateSampler:
                 site = canonical_wait_site(proc.wait_site or "unknown")
             else:
                 site = _NO_WAIT
-            add(proc.state, layer, op, site)
-            self.samples_total += 1
+            add(proc.state, layer, op, site, ticks)
+            self.samples_total += ticks
 
     # -- results -------------------------------------------------------------
 

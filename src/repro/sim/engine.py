@@ -11,11 +11,20 @@ devices.  Higher layers (:mod:`repro.sim.scheduler`, :mod:`repro.disk`,
 :mod:`repro.net`) schedule callbacks; determinism is guaranteed by the
 (time, sequence-number) ordering, so two runs with the same seed replay
 identically.
+
+Besides the queue the engine has one *periodic observer* slot
+(:meth:`Engine.observe`): a read-only callback on a fixed sim-clock
+period that is never put in the heap.  Nothing can change between two
+events, so instead of one event per period the engine counts the
+periods that fall before the next event and calls the observer once
+with that count — the wait-state sampler's cost then scales with the
+number of events, not with the number of ticks.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional
 
 __all__ = ["Event", "Engine", "CYCLES_PER_SECOND", "seconds", "cycles_to_seconds"]
@@ -61,6 +70,12 @@ class Engine:
         self._queue: List[Event] = []
         self._seq = 0
         self.events_processed = 0
+        # The periodic observer: its callback, its period, the time of
+        # its next tick (inf when unset) and that tick's tie boundary.
+        self._observer: Optional[Callable[[int], None]] = None
+        self._observe_interval = 0.0
+        self._observe_at = math.inf
+        self._observe_seq = 0
 
     # -- scheduling --------------------------------------------------------
 
@@ -84,18 +99,78 @@ class Engine:
         """Cancel a pending event (idempotent)."""
         event.cancelled = True
 
+    # -- the periodic observer ---------------------------------------------
+
+    def observe(self, interval: float, fn: Callable[[int], None]) -> None:
+        """Call ``fn(n)`` for ticks every *interval* cycles from now on.
+
+        Tick 1 is at ``now + interval`` and tick k+1 at tick k plus
+        ``interval``; each sits in the event order exactly where a
+        self-rescheduling event would: an
+        event at the same time runs before the tick only if it was
+        scheduled before the previous tick fired (before this call for
+        the first tick).  Ticks are delivered lazily, just before the
+        next event runs: ``n`` is how many ticks fell since the last
+        call, with the clock still at the previous event.  *fn* must
+        only read simulation state, never schedule or cancel events.
+        One observer at a time; a second raises ``RuntimeError``.
+        """
+        if interval <= 0:
+            raise ValueError("observer interval must be positive")
+        if self._observer is not None:
+            raise RuntimeError("engine already has an observer")
+        self._observer = fn
+        self._observe_interval = interval
+        self._observe_at = self.now + interval
+        self._observe_seq = self._seq
+
+    def stop_observing(self) -> None:
+        """Remove the observer; ticks not yet delivered are dropped."""
+        self._observer = None
+        self._observe_at = math.inf
+
+    def _observe_before(self, time: float, seq: int) -> None:
+        """Deliver the ticks ordered before an event at ``(time, seq)``.
+
+        Called only when ``time >= self._observe_at``.  Every tick after
+        the first sits after all queued events at its time (its boundary
+        is the current ``_seq``), so only the first one can lose a tie.
+        """
+        at = self._observe_at
+        if at == time and seq <= self._observe_seq:
+            return
+        interval = self._observe_interval
+        boundary = self._seq
+        ticks = 1
+        at += interval
+        while at < time or (at == time and seq > boundary):
+            ticks += 1
+            at += interval
+        self._observe_at = at
+        self._observe_seq = boundary
+        self._observer(ticks)
+
     # -- execution ---------------------------------------------------------
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Number of live (non-cancelled) events still queued.
+
+        The observer is not an event and is never counted.
+        """
         return sum(1 for e in self._queue if not e.cancelled)
 
     def step(self) -> bool:
-        """Run the next live event; False when the queue is empty."""
+        """Run the next live event; False when the queue is empty.
+
+        Observer ticks due before that event are delivered first, in one
+        call; with an empty queue no tick is delivered.
+        """
         while self._queue:
             event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
+            if event.time >= self._observe_at:
+                self._observe_before(event.time, event.seq)
             self.now = event.time
             self.events_processed += 1
             event.fn()
@@ -108,11 +183,14 @@ class Engine:
         """Drain the queue, optionally bounded by time/events/predicate.
 
         With ``until``, the clock is advanced to exactly ``until`` even
-        if the queue drains earlier, so periodic observers see a full
+        if the queue drains earlier, and the observer ticks at or before
+        ``until`` are delivered, so periodic observers see a full
         window.  ``stop`` is evaluated after every event; returning True
         halts the loop immediately (used to stop as soon as a workload
         completes, before unrelated periodic events inflate the clock).
-        Returns the number of events executed.
+        Neither a ``stop`` nor a ``max_events`` return delivers pending
+        ticks.  Returns the number of events executed; observer ticks
+        are not events and count toward neither it nor ``max_events``.
         """
         executed = 0
         while self._queue:
@@ -129,6 +207,10 @@ class Engine:
             executed += 1
             if stop is not None and stop():
                 return executed
-        if until is not None and self.now < until:
-            self.now = until
+        if until is not None:
+            if until >= self._observe_at:
+                # A virtual event after everything queued at ``until``.
+                self._observe_before(until, self._seq + 1)
+            if self.now < until:
+                self.now = until
         return executed

@@ -12,6 +12,7 @@ The two load-bearing properties:
 import pytest
 
 from repro.sampling import WaitStateSampler, canonical_wait_site
+from repro.sim import Condition, WaitCondition
 from repro.system import System
 from repro.workloads.runner import (collect_layer_profiles,
                                     collect_sampled_run)
@@ -166,6 +167,21 @@ class TestSamplerLifecycle:
         assert sampler.profile().total_samples() == 0
         # Health counters are lifetime totals, not per-window.
         assert sampler.metrics() == before
+
+    def test_armed_sampler_does_not_mask_a_deadlock(self):
+        # The sampler queues no events: once the queue drains the run
+        # ends and reports the deadlock, the clock where the last event
+        # left it.
+        system = self.build()
+        never = Condition("never")
+
+        def stuck(proc):
+            yield WaitCondition(never)
+
+        proc = system.kernel.spawn(stuck, "stuck")
+        with pytest.raises(RuntimeError, match="^deadlock:"):
+            system.kernel.run_until_done([proc], max_events=200_000)
+        assert system.kernel.now == 0
 
     def test_profile_returns_a_snapshot_copy(self):
         sampler = self.build().state_sampler

@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import (CYCLES_PER_SECOND, Engine, cycles_to_seconds,
                               seconds)
@@ -116,3 +118,202 @@ class TestRunBounds:
         engine.schedule(2, lambda: None)
         engine.run()
         assert engine.events_processed == 2
+
+
+class TestObserver:
+    """The periodic observer slot: batched ticks, exact tie order."""
+
+    def test_event_scheduled_before_arming_wins_the_first_tie(self):
+        engine = Engine()
+        log = []
+        engine.schedule_at(5, lambda: log.append("event"))
+        engine.observe(5, lambda n: log.append(("tick", n)))
+        engine.run()
+        assert log == ["event"]
+
+    def test_event_scheduled_after_arming_loses_the_first_tie(self):
+        engine = Engine()
+        log = []
+        engine.observe(5, lambda n: log.append(("tick", n)))
+        engine.schedule_at(5, lambda: log.append("event"))
+        engine.run()
+        assert log == [("tick", 1), "event"]
+
+    def test_later_ties_follow_the_previous_tick(self):
+        engine = Engine()
+        log = []
+        engine.observe(5, lambda n: log.append(("tick", n)))
+        # Scheduled before tick 1 fires: runs before tick 2 at t=10.
+        engine.schedule_at(3, lambda: engine.schedule_at(
+            10, lambda: log.append("early")))
+        # Scheduled after tick 1 fires: runs after tick 2 at t=10.
+        engine.schedule_at(7, lambda: engine.schedule_at(
+            10, lambda: log.append("late")))
+        engine.run()
+        assert log == [("tick", 1), "early", ("tick", 1), "late"]
+
+    def test_ticks_between_events_arrive_in_one_call(self):
+        engine = Engine()
+        calls = []
+        engine.observe(2, calls.append)
+        engine.schedule_at(9, lambda: None)
+        engine.schedule_at(30, lambda: None)
+        engine.run()
+        # Tick 30 loses its tie: t=30 was queued before tick 28 fired.
+        assert calls == [4, 10]
+        assert engine.events_processed == 2
+
+    def test_until_flush_is_inclusive(self):
+        engine = Engine()
+        calls = []
+        engine.observe(5, calls.append)
+        engine.run(until=15)
+        assert calls == [3]
+        assert engine.now == 15
+        engine.run(until=19.5)
+        assert calls == [3]
+        engine.run(until=20)
+        assert calls == [3, 1]
+
+    def test_no_flush_on_stop_or_max_events(self):
+        engine = Engine()
+        calls = []
+        engine.observe(1, calls.append)
+        for t in (10, 20, 30):
+            engine.schedule_at(t, lambda: None)
+        engine.run(until=100, stop=lambda: engine.now >= 10)
+        assert calls == [9]
+        engine.run(until=100, max_events=1)
+        assert calls == [9, 10]
+
+    def test_run_ends_when_queue_drains(self):
+        engine = Engine()
+        calls = []
+        engine.observe(1, calls.append)
+        engine.schedule_at(3, lambda: None)
+        assert engine.run() == 1
+        assert calls == [2]
+        assert engine.step() is False
+        assert calls == [2]
+
+    def test_second_observer_rejected(self):
+        engine = Engine()
+        engine.observe(5, lambda n: None)
+        with pytest.raises(RuntimeError):
+            engine.observe(5, lambda n: None)
+
+    def test_non_positive_interval_rejected(self):
+        engine = Engine()
+        with pytest.raises(ValueError):
+            engine.observe(0, lambda n: None)
+
+    def test_stop_observing_is_idempotent(self):
+        engine = Engine()
+        calls = []
+        engine.stop_observing()
+        engine.observe(1, calls.append)
+        engine.stop_observing()
+        engine.stop_observing()
+        engine.schedule_at(10, lambda: None)
+        engine.run(until=20)
+        assert calls == []
+        engine.observe(1, calls.append)
+        engine.run(until=25)
+        assert calls == [5]
+
+    def test_max_events_and_pending_count_only_real_events(self):
+        engine = Engine()
+        calls = []
+        engine.observe(1, calls.append)
+        for t in (10, 20, 30):
+            engine.schedule_at(t, lambda: None)
+        assert engine.pending() == 3
+        assert engine.run(max_events=2) == 2
+        assert engine.events_processed == 2
+        assert engine.pending() == 1
+        # Ticks 1..9 and 10..19; each event wins its tie, having been
+        # queued before the previous tick fired.
+        assert calls == [9, 10]
+
+
+# -- observer vs a self-rescheduling reference event ------------------------
+
+#: One root event: (time, delays of the children it schedules, index of
+#: the root it cancels or None).  Integer times make ties common.
+_root = st.tuples(st.integers(0, 20),
+                  st.lists(st.integers(0, 6), max_size=2),
+                  st.one_of(st.none(), st.integers(0, 7)))
+
+
+def _drive(roots, interval, arm_after, mode, bound, batched):
+    """Run one schedule; returns the interleaved event/tick log.
+
+    ``batched`` arms the engine's observer; otherwise a self-rescheduling
+    event plays the tick, and the run is stopped where the observer's
+    would end (no live real events left, or the mode's bound reached).
+    """
+    engine = Engine()
+    log = []
+    executed = [0]
+    handles = {}
+
+    def real(name, children=(), cancel=None):
+        def fn():
+            executed[0] += 1
+            log.append((name, engine.now))
+            for k, delay in enumerate(children):
+                engine.schedule(delay, real(f"{name}.{k}"))
+            if cancel is not None and cancel in handles:
+                engine.cancel(handles[cancel])
+        return fn
+
+    def tick():
+        log.append(("tick", executed[0]))
+        engine.schedule(interval, tick)
+
+    def arm():
+        if batched:
+            engine.observe(interval, lambda n: log.extend(
+                [("tick", executed[0])] * n))
+        else:
+            engine.schedule(interval, tick)
+
+    for i, (time, children, cancel) in enumerate(roots):
+        if i == arm_after:
+            arm()
+        handles[i] = engine.schedule_at(time, real(f"r{i}", children,
+                                                   cancel))
+    if arm_after >= len(roots):
+        arm()
+
+    def drained():
+        return not batched and engine.pending() == 1
+
+    if mode == "run":
+        engine.run(stop=drained)
+    elif mode == "until":
+        engine.run(until=bound)
+    elif mode == "max_events":
+        if batched:
+            assert engine.run(max_events=bound) == executed[0]
+            assert executed[0] <= bound
+        else:
+            engine.run(stop=lambda: executed[0] >= bound or drained())
+    else:
+        engine.run(stop=lambda: executed[0] >= bound or drained())
+    pending = engine.pending() - (0 if batched else 1)
+    return log, pending
+
+
+class TestObserverMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(roots=st.lists(_root, min_size=1, max_size=8),
+           interval=st.integers(1, 4),
+           arm_after=st.integers(0, 8),
+           mode=st.sampled_from(["run", "until", "max_events", "stop"]),
+           bound=st.integers(1, 24))
+    def test_same_log_as_self_rescheduling_event(self, roots, interval,
+                                                 arm_after, mode, bound):
+        batched = _drive(roots, interval, arm_after, mode, bound, True)
+        reference = _drive(roots, interval, arm_after, mode, bound, False)
+        assert batched == reference
