@@ -19,6 +19,14 @@ events, so instead of one event per period the engine counts the
 periods that fall before the next event and calls the observer once
 with that count — the wait-state sampler's cost then scales with the
 number of events, not with the number of ticks.
+
+An event that would run next need not go through the heap at all: a
+caller that knows the time of its own next event asks
+:meth:`Engine.advance`, which moves the clock there and counts it as one
+event only when nothing queued, no observer tick and no bound of the
+run in progress would come first.  The scheduler completes most CPU
+bursts this way.  :meth:`Engine.halt` ends the run after the current
+event.
 """
 
 from __future__ import annotations
@@ -76,6 +84,12 @@ class Engine:
         self._observe_interval = 0.0
         self._observe_at = math.inf
         self._observe_seq = 0
+        # The bounds of the run() in progress, read by advance(): the
+        # last time it may reach, the events_processed count it ends at,
+        # and whether halt() was called.  Outside run() nothing advances.
+        self._until = -math.inf
+        self._event_limit = math.inf
+        self._halted = False
 
     # -- scheduling --------------------------------------------------------
 
@@ -86,9 +100,15 @@ class Engine:
         return self.schedule_at(self.now + delay, fn)
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
-        """Run *fn* at absolute simulated time *time*."""
-        if time < self.now:
-            raise ValueError("cannot schedule into the past")
+        """Run *fn* at absolute simulated time *time*.
+
+        The time must be finite: a NaN or infinite time would poison the
+        clock of every event after it.
+        """
+        if not self.now <= time < math.inf:
+            if time < self.now:
+                raise ValueError("cannot schedule into the past")
+            raise ValueError(f"event time must be finite, got {time!r}")
         self._seq += 1
         event = Event(time, self._seq, fn)
         heapq.heappush(self._queue, event)
@@ -177,40 +197,82 @@ class Engine:
             return True
         return False
 
+    def advance(self, time: float) -> bool:
+        """Run the caller's next event in place, at *time*, if it is next.
+
+        The caller is inside an event and about to schedule its own
+        continuation at *time*.  When that event would be the very next
+        one :meth:`run` executes, this moves ``now`` to *time*, counts
+        one event in ``events_processed`` and returns True; the caller
+        then runs the continuation itself instead of scheduling it.
+        That holds when *time* is strictly before the queue's head (a
+        new event would lose every tie; a cancelled head only makes the
+        test conservative), strictly before the observer's next tick,
+        at or before the run's ``until``, within its ``max_events``
+        budget, and the run has not been halted.  Otherwise, and always
+        outside :meth:`run`, nothing changes and it returns False: the
+        caller schedules as usual.
+        """
+        queue = self._queue
+        if (time < self._observe_at and time <= self._until
+                and self.events_processed < self._event_limit
+                and not self._halted
+                and (not queue or time < queue[0].time)):
+            self.now = time
+            self.events_processed += 1
+            return True
+        return False
+
+    def halt(self) -> None:
+        """End the current :meth:`run` once the event now executing returns.
+
+        No later event runs, in place or from the queue, and no pending
+        tick is delivered.  Called outside a run, it ends the next run
+        after that run's first event.
+        """
+        self._halted = True
+
     def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None,
-            stop: Optional[Callable[[], bool]] = None) -> int:
-        """Drain the queue, optionally bounded by time/events/predicate.
+            max_events: Optional[int] = None) -> int:
+        """Drain the queue, optionally bounded by time and event count.
 
         With ``until``, the clock is advanced to exactly ``until`` even
         if the queue drains earlier, and the observer ticks at or before
         ``until`` are delivered, so periodic observers see a full
-        window.  ``stop`` is evaluated after every event; returning True
-        halts the loop immediately (used to stop as soon as a workload
-        completes, before unrelated periodic events inflate the clock).
-        Neither a ``stop`` nor a ``max_events`` return delivers pending
-        ticks.  Returns the number of events executed; observer ticks
-        are not events and count toward neither it nor ``max_events``.
+        window.  A run ended by :meth:`halt` (used to stop as soon as a
+        workload completes, before unrelated periodic events inflate
+        the clock) or by ``max_events`` delivers no pending tick.
+        Returns the number of events executed, counted from
+        ``events_processed`` so events run in place by :meth:`advance`
+        count exactly like queued ones, toward the result and toward
+        ``max_events``; observer ticks are not events and count toward
+        neither.
         """
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                return executed
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and head.time > until:
-                break
-            if not self.step():
-                break
-            executed += 1
-            if stop is not None and stop():
-                return executed
+        start = self.events_processed
+        queue = self._queue
+        self._until = math.inf if until is None else until
+        self._event_limit = math.inf if max_events is None \
+            else start + max_events
+        try:
+            while queue:
+                if self.events_processed >= self._event_limit:
+                    return self.events_processed - start
+                head = queue[0]
+                if head.cancelled:
+                    heapq.heappop(queue)
+                    continue
+                if head.time > self._until:
+                    break
+                self.step()
+                if self._halted:
+                    return self.events_processed - start
+        finally:
+            self._until = -math.inf
+            self._halted = False
         if until is not None:
             if until >= self._observe_at:
                 # A virtual event after everything queued at ``until``.
                 self._observe_before(until, self._seq + 1)
             if self.now < until:
                 self.now = until
-        return executed
+        return self.events_processed - start

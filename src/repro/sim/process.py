@@ -18,6 +18,7 @@ function calls in a kernel (Ext2's ``readdir`` calling ``readpage``).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator, List, Optional
 
 __all__ = ["CpuBurst", "Sleep", "WaitCondition", "YieldCpu", "Spawn",
@@ -39,8 +40,9 @@ class CpuBurst:
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: float):
-        if cycles < 0:
-            raise ValueError("burst cycles must be non-negative")
+        if not 0 <= cycles < math.inf:
+            raise ValueError("burst cycles must be finite and "
+                             f"non-negative, got {cycles!r}")
         self.cycles = cycles
 
     def __repr__(self) -> str:
@@ -53,8 +55,9 @@ class Sleep:
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: float):
-        if cycles < 0:
-            raise ValueError("sleep cycles must be non-negative")
+        if not 0 <= cycles < math.inf:
+            raise ValueError("sleep cycles must be finite and "
+                             f"non-negative, got {cycles!r}")
         self.cycles = cycles
 
     def __repr__(self) -> str:

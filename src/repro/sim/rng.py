@@ -87,8 +87,9 @@ class SimRandom:
         which matches how tight the paper's CPU peaks are (about one
         bucket wide).
         """
-        if mean <= 0:
-            raise ValueError("mean must be positive")
+        if not 0 < mean < math.inf:
+            raise ValueError(
+                f"mean must be positive and finite, got {mean!r}")
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
         if sigma == 0:
@@ -98,12 +99,14 @@ class SimRandom:
 
     def exponential(self, mean: float) -> float:
         """Exponential inter-arrival time with the given mean."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
+        if not 0 < mean < math.inf:
+            raise ValueError(
+                f"mean must be positive and finite, got {mean!r}")
         return self._rng.expovariate(1.0 / mean)
 
     def pareto_cycles(self, minimum: float, alpha: float = 2.5) -> float:
         """Heavy-tailed latency (rare slow paths), bounded below."""
-        if minimum <= 0:
-            raise ValueError("minimum must be positive")
+        if not 0 < minimum < math.inf:
+            raise ValueError(
+                f"minimum must be positive and finite, got {minimum!r}")
         return minimum * self._rng.paretovariate(alpha)

@@ -15,15 +15,23 @@ the paper instruments.  It is a round-robin scheduler over N CPUs:
 * Each CPU has its own TSC with power-up skew (:mod:`repro.sim.clock`).
 
 Processes are generator coroutines (:mod:`repro.sim.process`).  The
-scheduler maintains the invariant that a RUNNING process always has
-exactly one pending completion event for its current burst chunk.
+scheduler maintains the invariant that, between events, a RUNNING
+process always has exactly one pending completion event for its current
+burst chunk.  A burst whose completion would be the very next event is
+not queued at all: :meth:`Engine.advance
+<repro.sim.engine.Engine.advance>` moves the clock to its end, and the
+stepping loop accounts it and resumes the generator in place, so such a
+burst never leaves the loop.  Its completion counts as an event and
+runs the queued path's accounting, so every clock value, event count
+and profile is what a queued completion would give.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Set)
 
 from .clock import POWERUP_SKEW_SECONDS, TscBank
 from .engine import Engine, Event, seconds
@@ -90,6 +98,9 @@ class Kernel:
         self.processes: List[Process] = []
         self._exit_conditions: Dict[int, Condition] = {}
         self.context_switches = 0
+        # The processes run_until_done still waits for; the last one to
+        # exit halts the engine.
+        self._awaited: Set[Process] = set()
         #: The process whose generator is currently being advanced, so
         #: completion-side code (the disk driver) can attribute submitted
         #: work to the submitting request's pipeline context.
@@ -175,11 +186,17 @@ class Kernel:
         return None
 
     def _maybe_dispatch(self) -> None:
+        events = self.engine.events_processed
         while self.run_queue:
             cpu = self._idle_cpu()
             if cpu is None:
                 return
             self._dispatch(cpu)
+            if self.engine.events_processed != events:
+                # The dispatched process completed a burst in place,
+                # which it only does when this loop would have ended
+                # there: what follows belongs to later events.
+                return
 
     def _dispatch(self, cpu: Cpu) -> None:
         proc = self.run_queue.popleft()
@@ -231,8 +248,19 @@ class Kernel:
 
     def _chunk_done(self, proc: Process) -> None:
         cpu = self.cpus[proc.cpu]
-        chunk = cpu.chunk_size
         cpu.chunk_event = None
+        if self._account_chunk(proc, cpu):
+            self._step(proc)
+
+    def _account_chunk(self, proc: Process, cpu: Cpu) -> bool:
+        """Charge the chunk that just ended on *cpu*; apply the quantum.
+
+        The one completion path for queued and in-place chunks alike.
+        Returns True when the process keeps the CPU and its generator
+        should be stepped; False when quantum expiry requeued it or ran
+        another chunk of the same burst.
+        """
+        chunk = cpu.chunk_size
         proc.cpu_time += chunk
         if proc.in_kernel > 0:
             proc.sys_time += chunk
@@ -244,18 +272,18 @@ class Kernel:
         if proc.remaining_burst > 1e-9:
             # Quantum expired mid-burst.
             self._quantum_expired(proc)
-            return
+            return False
         proc.remaining_burst = 0.0
         if proc.quantum_left <= 1e-9:
             # Quantum expired exactly at the burst boundary.
             if self.run_queue and self._can_force_preempt(proc):
                 proc.preemptions += 1
                 self._requeue(proc)
-                return
+                return False
             proc.quantum_left = self.quantum
             if self.run_queue:
                 proc.preempt_pending = True
-        self._step(proc)
+        return True
 
     def _can_force_preempt(self, proc: Process) -> bool:
         return self.kernel_preemption or proc.in_kernel == 0
@@ -304,15 +332,30 @@ class Kernel:
                                 and bool(self.run_queue))
 
             if isinstance(effect, CpuBurst):
-                if effect.cycles <= 0:
+                cycles = effect.cycles
+                if cycles <= 0:
                     continue
-                proc.remaining_burst = effect.cycles
+                proc.remaining_burst = cycles
                 if boundary_preempt:
                     proc.preempt_pending = False
                     proc.preemptions += 1
                     self._requeue(proc)
-                else:
-                    self._run_chunk(proc)
+                    return
+                # A burst that fits the quantum and would complete
+                # before anything else happens completes right here.
+                # (A dispatcher with more to hand out always has another
+                # dispatch event queued at this time, so advance refuses.)
+                start = self.engine.now
+                if cycles <= proc.quantum_left \
+                        and self.engine.advance(start + cycles):
+                    cpu = self.cpus[proc.cpu]
+                    cpu.chunk_size = cycles
+                    cpu.chunk_started = start
+                    cpu.chunk_end = self.engine.now
+                    if self._account_chunk(proc, cpu):
+                        continue
+                    return
+                self._run_chunk(proc)
                 return
             if isinstance(effect, Sleep):
                 proc.preempt_pending = False
@@ -426,6 +469,10 @@ class Kernel:
         self.fire_condition(self._exit_conditions[proc.pid], value,
                             wake_all=True)
         self._schedule_dispatch()
+        if proc in self._awaited:
+            self._awaited.remove(proc)
+            if not self._awaited:
+                self.engine.halt()
 
     # -- interrupt support ------------------------------------------------------------------
 
@@ -481,14 +528,19 @@ class Kernel:
 
         Stops at the exact event that completes the last process, so
         unrelated periodic events (timer ticks, flush daemons) do not
-        run the clock past the workload's end.
+        run the clock past the workload's end: that process's exit
+        halts the engine.  When all of them have already exited, one
+        event runs.
         """
-        def all_done() -> bool:
-            return all(p.done for p in procs)
-
-        consumed = self.engine.run(max_events=max_events, stop=all_done)
-        if not all_done():
-            stuck = [p.name for p in procs if not p.done]
+        self._awaited = {p for p in procs if not p.done}
+        if not self._awaited:
+            self.engine.halt()
+        try:
+            consumed = self.engine.run(max_events=max_events)
+        finally:
+            self._awaited = set()
+        stuck = [p.name for p in procs if not p.done]
+        if stuck:
             if consumed >= max_events:
                 raise RuntimeError(
                     f"event budget exhausted with processes pending: "

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,18 @@ class TestScheduling:
             engine.schedule(-1, lambda: None)
         with pytest.raises(ValueError):
             engine.schedule_at(50, lambda: None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        engine = Engine()
+        engine.now = 100
+        with pytest.raises(ValueError):
+            engine.schedule(bad, lambda: None)
+        with pytest.raises(ValueError):
+            engine.schedule_at(bad, lambda: None)
+        assert engine.pending() == 0
+        engine.run()
+        assert engine.now == 100
 
     def test_events_scheduled_during_events(self):
         engine = Engine()
@@ -99,15 +113,40 @@ class TestRunBounds:
         assert executed == 2
         assert seen == [0, 1]
 
-    def test_stop_predicate_halts_immediately(self):
+    def test_halt_ends_run_after_current_event(self):
         engine = Engine()
         seen = []
+
+        def second():
+            seen.append(2)
+            engine.halt()
+            seen.append("rest of event")
+
         engine.schedule(1, lambda: seen.append(1))
-        engine.schedule(2, lambda: seen.append(2))
+        engine.schedule(2, second)
         engine.schedule(3, lambda: seen.append(3))
-        engine.run(stop=lambda: len(seen) >= 2)
-        assert seen == [1, 2]
+        assert engine.run() == 2
+        assert seen == [1, 2, "rest of event"]
         assert engine.now == 2
+        # The halt ended that run only.
+        assert engine.run() == 1
+        assert seen[-1] == 3
+
+    def test_halt_between_runs_ends_the_next_after_one_event(self):
+        engine = Engine()
+        for t in (1, 2, 3):
+            engine.schedule(t, lambda: None)
+        engine.halt()
+        assert engine.run() == 1
+        assert engine.run() == 2
+
+    def test_halt_before_a_run_on_an_empty_queue_is_spent(self):
+        engine = Engine()
+        engine.halt()
+        assert engine.run() == 0
+        engine.schedule(1, lambda: None)
+        engine.schedule(2, lambda: None)
+        assert engine.run() == 2
 
     def test_step_returns_false_on_empty(self):
         assert Engine().step() is False
@@ -118,6 +157,100 @@ class TestRunBounds:
         engine.schedule(2, lambda: None)
         engine.run()
         assert engine.events_processed == 2
+
+
+class TestAdvance:
+    """In-place events: advance() succeeds only for the next event."""
+
+    @staticmethod
+    def attempt(engine, at, to, **run_bounds):
+        """From an event at *at*, try advance(*to*); (result, clock)."""
+        seen = []
+        engine.schedule_at(
+            at, lambda: seen.append((engine.advance(to), engine.now)))
+        engine.run(**run_bounds)
+        return seen[0]
+
+    def test_next_event_runs_in_place(self):
+        engine = Engine()
+        engine.schedule_at(6, lambda: None)
+        assert self.attempt(engine, 1, 5) == (True, 5)
+        assert engine.events_processed == 3
+        assert engine.now == 6
+
+    def test_refused_at_a_tie_with_the_head(self):
+        engine = Engine()
+        engine.schedule_at(5, lambda: None)
+        assert self.attempt(engine, 1, 5) == (False, 1)
+        assert engine.events_processed == 2
+
+    def test_cancelled_head_is_conservative(self):
+        engine = Engine()
+        engine.cancel(engine.schedule_at(3, lambda: None))
+        assert self.attempt(engine, 1, 5) == (False, 1)
+
+    def test_refused_at_or_after_the_next_tick(self):
+        for to, ok in ((3.5, True), (4, False), (4.5, False)):
+            engine = Engine()
+            ticks = []
+            engine.observe(4, ticks.append)
+            assert self.attempt(engine, 1, to) == (ok, to if ok else 1)
+
+    def test_refused_past_until(self):
+        for to, ok in ((5, True), (5.5, False)):
+            engine = Engine()
+            assert self.attempt(engine, 1, to, until=5) == \
+                (ok, to if ok else 1)
+            assert engine.now == 5
+
+    def test_refused_at_the_max_events_budget(self):
+        engine = Engine()
+        assert self.attempt(engine, 1, 5, max_events=1) == (False, 1)
+        engine = Engine()
+        assert self.attempt(engine, 1, 5, max_events=2) == (True, 5)
+
+    def test_refused_after_halt(self):
+        engine = Engine()
+        seen = []
+
+        def event():
+            engine.halt()
+            seen.append(engine.advance(5))
+
+        engine.schedule_at(1, event)
+        engine.schedule_at(9, lambda: None)
+        assert engine.run() == 1
+        assert seen == [False]
+        assert engine.now == 1
+
+    def test_refused_outside_run(self):
+        engine = Engine()
+        assert engine.advance(5) is False
+        seen = []
+        engine.schedule_at(1, lambda: seen.append(engine.advance(5)))
+        assert engine.step() is True
+        assert seen == [False]
+        assert engine.now == 1 and engine.events_processed == 1
+
+    def test_max_events_counts_in_place_events(self):
+        engine = Engine()
+        times = []
+
+        def spin():
+            # A continuation chain that runs in place while it can.
+            while True:
+                times.append(engine.now)
+                if not engine.advance(engine.now + 1):
+                    engine.schedule(1, spin)
+                    return
+
+        engine.schedule_at(0, spin)
+        assert engine.run(max_events=4) == 4
+        assert engine.events_processed == 4
+        assert times == [0, 1, 2, 3]
+        assert engine.run(max_events=3) == 3
+        assert times == [0, 1, 2, 3, 4, 5, 6]
+        assert engine.pending() == 1
 
 
 class TestObserver:
@@ -175,13 +308,14 @@ class TestObserver:
         engine.run(until=20)
         assert calls == [3, 1]
 
-    def test_no_flush_on_stop_or_max_events(self):
+    def test_no_flush_on_halt_or_max_events(self):
         engine = Engine()
         calls = []
         engine.observe(1, calls.append)
-        for t in (10, 20, 30):
+        engine.schedule_at(10, engine.halt)
+        for t in (20, 30):
             engine.schedule_at(t, lambda: None)
-        engine.run(until=100, stop=lambda: engine.now >= 10)
+        engine.run(until=100)
         assert calls == [9]
         engine.run(until=100, max_events=1)
         assert calls == [9, 10]
@@ -249,8 +383,9 @@ def _drive(roots, interval, arm_after, mode, bound, batched):
     """Run one schedule; returns the interleaved event/tick log.
 
     ``batched`` arms the engine's observer; otherwise a self-rescheduling
-    event plays the tick, and the run is stopped where the observer's
-    would end (no live real events left, or the mode's bound reached).
+    event plays the tick, and the engine is stepped by hand until the
+    point where the observer's run would end (no live real events left,
+    or the mode's bound reached).
     """
     engine = Engine()
     log = []
@@ -265,6 +400,8 @@ def _drive(roots, interval, arm_after, mode, bound, batched):
                 engine.schedule(delay, real(f"{name}.{k}"))
             if cancel is not None and cancel in handles:
                 engine.cancel(handles[cancel])
+            if batched and mode == "halt" and executed[0] >= bound:
+                engine.halt()
         return fn
 
     def tick():
@@ -286,21 +423,24 @@ def _drive(roots, interval, arm_after, mode, bound, batched):
     if arm_after >= len(roots):
         arm()
 
-    def drained():
-        return not batched and engine.pending() == 1
+    def step_until(done):
+        while engine.step() and not done():
+            pass
 
-    if mode == "run":
-        engine.run(stop=drained)
-    elif mode == "until":
+    def drained():
+        return engine.pending() == 1
+
+    if mode == "until":
         engine.run(until=bound)
-    elif mode == "max_events":
-        if batched:
-            assert engine.run(max_events=bound) == executed[0]
-            assert executed[0] <= bound
-        else:
-            engine.run(stop=lambda: executed[0] >= bound or drained())
+    elif batched and mode == "max_events":
+        assert engine.run(max_events=bound) == executed[0]
+        assert executed[0] <= bound
+    elif batched:
+        engine.run()
+    elif mode == "run":
+        step_until(drained)
     else:
-        engine.run(stop=lambda: executed[0] >= bound or drained())
+        step_until(lambda: executed[0] >= bound or drained())
     pending = engine.pending() - (0 if batched else 1)
     return log, pending
 
@@ -310,7 +450,7 @@ class TestObserverMatchesReference:
     @given(roots=st.lists(_root, min_size=1, max_size=8),
            interval=st.integers(1, 4),
            arm_after=st.integers(0, 8),
-           mode=st.sampled_from(["run", "until", "max_events", "stop"]),
+           mode=st.sampled_from(["run", "until", "max_events", "halt"]),
            bound=st.integers(1, 24))
     def test_same_log_as_self_rescheduling_event(self, roots, interval,
                                                  arm_after, mode, bound):

@@ -1,5 +1,7 @@
 """Tests for effect objects and Process bookkeeping."""
 
+import math
+
 import pytest
 
 from repro.sim.process import (Condition, CpuBurst, Process, ProcessState,
@@ -15,6 +17,12 @@ class TestEffectValidation:
     def test_negative_sleep_rejected(self):
         with pytest.raises(ValueError):
             Sleep(-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("effect", [CpuBurst, Sleep])
+    def test_non_finite_cycles_rejected(self, effect, bad):
+        with pytest.raises(ValueError, match="finite"):
+            effect(bad)
 
     def test_reprs(self):
         assert "CpuBurst" in repr(CpuBurst(100))

@@ -1,5 +1,7 @@
 """Tests for the deterministic random source."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,16 @@ class TestDraws:
             assert rng.pareto_cycles(50) >= 50
         with pytest.raises(ValueError):
             rng.pareto_cycles(0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("draw", ["jitter", "exponential",
+                                      "pareto_cycles"])
+    def test_non_finite_location_rejected(self, draw, bad):
+        rng = SimRandom(4)
+        with pytest.raises(ValueError, match="finite"):
+            getattr(rng, draw)(bad)
+        # Nothing was drawn: the stream is where a fresh one starts.
+        assert rng.random() == SimRandom(4).random()
 
     @given(st.integers(min_value=0, max_value=2**30))
     @settings(max_examples=20)

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import seconds
+from repro.sim.engine import Engine, seconds
 from repro.sim.process import (CpuBurst, ProcessState, Sleep, Spawn,
                                WaitCondition, YieldCpu, Condition)
 from repro.sim.scheduler import Kernel
+
+from .test_inline_bursts import HeapOnlyEngine, kernel_state, run_programs
 
 
 def make_kernel(**kwargs):
@@ -403,3 +405,139 @@ class TestSchedulerProperties:
         procs = [k.spawn(body, f"p{i}") for i in range(n)]
         k.run_until_done(procs)
         assert all(p.done for p in procs)
+
+
+#: One op of a random program (see ``program_body``).  Cycle counts on
+#: a coarse grid make ties between completions common.
+_cycles = st.integers(1, 3).map(lambda k: 50 * k)
+_op = st.one_of(
+    st.tuples(st.just("burst"), _cycles, st.integers(0, 1)),
+    st.tuples(st.just("sleep"), _cycles | st.just(0)),
+    st.tuples(st.just("yield")),
+    st.tuples(st.just("lock"), st.integers(0, 1), _cycles),
+)
+_program = st.lists(
+    st.one_of(_op, st.tuples(st.just("spawn"), st.lists(_op, max_size=4))),
+    max_size=8)
+
+
+class TestInPlaceBursts:
+    """In-place burst completion is invisible next to the heap path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs=st.lists(_program, min_size=1, max_size=4),
+           num_cpus=st.integers(1, 3),
+           quantum=_cycles | st.integers(50, 1200),
+           switch_cost=st.sampled_from([0.0, 7.0, 50.0]),
+           kernel_preemption=st.booleans(),
+           mode=st.sampled_from(["run", "until", "max_events",
+                                 "until_done"]),
+           bound=st.integers(0, 200))
+    def test_same_event_log_as_heap_path(self, programs, num_cpus, quantum,
+                                         switch_cost, kernel_preemption,
+                                         mode, bound):
+        params = dict(mode=mode, num_cpus=num_cpus, quantum=quantum,
+                      switch_cost=switch_cost,
+                      kernel_preemption=kernel_preemption,
+                      bound=bound * 20 if mode == "until" else bound)
+        reference, _, _ = run_programs(HeapOnlyEngine, programs, **params)
+        inline, _, _ = run_programs(Engine, programs, **params)
+        assert inline == reference
+
+    @pytest.mark.parametrize("end", ["budget", "halt"])
+    def test_dispatch_event_ends_with_an_in_place_burst(self, end):
+        """A dispatch whose process completes a burst in place ends there.
+
+        The waker is re-dispatched straight onto its CPU by a wake-up,
+        completes a burst in place and then queues the waiter.  The
+        waiter belongs to the next dispatch event, which a run ended by
+        its event budget or by a halt at the waker's exit never reaches.
+        """
+        def run(engine_cls, budget):
+            k = Kernel(engine=engine_cls(), num_cpus=2,
+                       context_switch_cost=0.0, tsc_skew_seconds=0.0)
+            go = Condition("go")
+
+            def waiter(proc):
+                yield WaitCondition(go)
+                yield CpuBurst(10)
+
+            def waker(proc):
+                yield Sleep(5)
+                yield CpuBurst(10)
+                k.fire_condition(go)
+                if end == "budget":
+                    yield Sleep(100)
+
+            procs = [k.spawn(waiter, "waiter"), k.spawn(waker, "waker")]
+            if end == "budget":
+                k.run(max_events=budget)
+            else:
+                k.run_until_done(procs[1:])
+            return kernel_state(k)
+
+        budgets = range(1, 10) if end == "budget" else [None]
+        for budget in budgets:
+            assert run(Engine, budget) == run(HeapOnlyEngine, budget)
+
+    def test_cpu_hog_with_an_empty_queue_exhausts_the_budget(self):
+        k = make_kernel()
+
+        def hog(proc):
+            while True:
+                yield CpuBurst(100)
+
+        p = k.spawn(hog, "hog")
+        with pytest.raises(RuntimeError, match="event budget exhausted"):
+            k.run_until_done([p], max_events=1000)
+        assert k.engine.events_processed == 1000
+        assert p.cpu_time == pytest.approx(999 * 100)
+
+    def test_deadlock_still_reported_after_in_place_bursts(self):
+        k = make_kernel()
+        cond = Condition("never")
+
+        def stuck(proc):
+            for _ in range(5):
+                yield CpuBurst(100)
+            yield WaitCondition(cond)
+
+        p = k.spawn(stuck, "stuck")
+        with pytest.raises(RuntimeError, match="deadlock:"):
+            k.run_until_done([p])
+        assert p.cpu_time == pytest.approx(500)
+
+    def test_run_until_done_on_finished_processes_runs_one_event(self):
+        k = make_kernel()
+
+        def quick(proc):
+            yield CpuBurst(10)
+
+        def slow(proc):
+            for _ in range(10):
+                yield Sleep(1000)
+
+        p = k.spawn(quick, "quick")
+        k.spawn(slow, "slow")
+        k.run_until_done([p])
+        before = k.engine.events_processed
+        k.run_until_done([p])
+        assert k.engine.events_processed == before + 1
+        k.run_until_done([])
+        assert k.engine.events_processed == before + 2
+
+    def test_halts_at_the_last_watched_exit(self):
+        k = make_kernel()
+
+        def body(proc, cycles):
+            yield CpuBurst(cycles)
+
+        def background(proc):
+            while True:
+                yield Sleep(50)
+
+        procs = [k.spawn(lambda p, c=c: body(p, c), f"p{c}")
+                 for c in (300, 100)]
+        k.spawn(background, "bg")
+        k.run_until_done(procs)
+        assert k.now == max(p.finished_at for p in procs)
