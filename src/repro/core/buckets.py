@@ -285,13 +285,18 @@ class LatencyBuckets:
         """Fold another histogram into this one (used by per-CPU profiles)."""
         if other.spec != self.spec:
             raise ValueError("cannot merge histograms with different resolutions")
-        for b, c in other._counts.items():
-            self._counts[b] = self._counts.get(b, 0) + c
-        self.total_ops += other.total_ops
         # Concatenating two exact expansions keeps the sum exact, so
         # merge order (serial, sharded, concurrent pushes) cannot change
         # the reported total by even an ulp.
-        for partial in other._latency_partials:
+        self._fold(other, other._latency_partials)
+
+    def _fold(self, other: "LatencyBuckets",
+              partials: Iterable[float]) -> None:
+        """:meth:`merge` unchecked, growing the expansion from *partials*."""
+        for b, c in other._counts.items():
+            self._counts[b] = self._counts.get(b, 0) + c
+        self.total_ops += other.total_ops
+        for partial in partials:
             _grow_expansion(self._latency_partials, partial)
         if other.min_latency is not None:
             if self.min_latency is None or other.min_latency < self.min_latency:
@@ -418,37 +423,4 @@ class LatencyBuckets:
         for b in sorted(counts):
             if counts[b]:
                 hist.add_to_bucket(b, counts[b])
-        return hist
-
-    @classmethod
-    def restore(cls, counts: Dict[int, int], total_ops: int,
-                total_latency: float,
-                min_latency: Optional[float] = None,
-                max_latency: Optional[float] = None,
-                spec: Optional[BucketSpec] = None) -> "LatencyBuckets":
-        """Rebuild a histogram from serialized state, exactly.
-
-        Unlike :meth:`from_counts` (which re-derives totals from bucket
-        midpoints), ``restore`` preserves the recorded totals so a
-        decoded histogram is bit-identical to the one that was encoded.
-        The Section 4 checksum is enforced on the way in: bucket counts
-        must sum to ``total_ops``.
-        """
-        hist = cls(spec)
-        for b in sorted(counts):
-            c = counts[b]
-            if c < 0:
-                raise ValueError(f"negative count {c} in bucket {b}")
-            if b < 0 or b > MAX_BUCKET:
-                raise ValueError(f"bucket index {b} out of range")
-            if c:
-                hist._counts[b] = c
-        if sum(hist._counts.values()) != total_ops:
-            raise ValueError(
-                f"checksum mismatch: bucket counts sum to "
-                f"{sum(hist._counts.values())}, header says {total_ops}")
-        hist.total_ops = total_ops
-        hist.total_latency = total_latency
-        hist.min_latency = min_latency
-        hist.max_latency = max_latency
         return hist

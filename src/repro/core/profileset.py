@@ -34,15 +34,22 @@ corrupted shard result is rejected rather than silently merged::
 where ``str`` is ``u16 length + UTF-8 bytes``.  Profiles and attributes
 are written in sorted order, so encoding is canonical: equal sets encode
 to identical bytes, and decode→encode round-trips are byte-identical.
+
+:func:`parse_binary` is the only decoder of this format: precompiled
+``struct.Struct`` reads at offsets, one bulk read per operation's bucket
+pairs, and every check of docs/FORMATS.md in its order.
+:meth:`ProfileSet.from_bytes` and the warehouse's
+``ColumnarSegment.from_bytes`` are thin loops over the rows it returns.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from operator import lt
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from .buckets import BucketSpec, LatencyBuckets
+from .buckets import MAX_BUCKET, BucketSpec, _grow_expansion
 from .profile import Layer, Profile
 
 __all__ = ["ProfileSet"]
@@ -53,28 +60,191 @@ _HEADER_PREFIX = "# osprof 1"
 _BINARY_MAGIC = b"OSPROFB1"
 
 
-class _Reader:
-    """Bounds-checked cursor over a binary profile payload."""
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_QD = struct.Struct("<Qd")
+_F64 = struct.Struct("<d")
 
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
+#: Bytes before the payload; truncation offsets count from its start.
+_START = len(_BINARY_MAGIC)
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
+#: No valid op carries more pairs than there are distinct buckets.
+MAX_PAIRS = MAX_BUCKET + 1
+
+#: Validated bucket specs by resolution (at most eight entries).
+_SPECS: Dict[int, BucketSpec] = {}
+
+#: ``"<HQHQ..."`` bulk pair readers by pair count, built on first use;
+#: counts above :data:`MAX_PAIRS` are rejected before they get here.
+_PAIRS: Dict[int, struct.Struct] = {}
+
+#: ``(operation, layer, total_ops, total_latency, min, max, buckets,
+#: counts)``: buckets strictly ascending, zero counts dropped.
+Row = Tuple[str, str, int, float, Optional[float], Optional[float],
+            Tuple[int, ...], Tuple[int, ...]]
+
+
+def _truncated(wanted: int, pos: int, end: int) -> ValueError:
+    return ValueError(
+        f"truncated binary profile: wanted {wanted} bytes at offset "
+        f"{pos - _START}, only {end - pos} left")
+
+
+def _read_str(data: bytes, pos: int, end: int) -> Tuple[str, int]:
+    if pos + 2 > end:
+        raise _truncated(2, pos, end)
+    (n,) = _U16.unpack_from(data, pos)
+    pos += 2
+    if pos + n > end:
+        raise _truncated(n, pos, end)
+    return data[pos:pos + n].decode("utf-8"), pos + n
+
+
+def _read_pairs(data: bytes, pos: int, end: int, n: int,
+                operation: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The *n* ``(bucket, count)`` pairs at *pos*, sorted by bucket.
+
+    One bulk ``unpack_from`` reads every whole pair.  A repeated bucket
+    or a short run fails as a pair-by-pair reader would: at whichever of
+    the first repeat and the first incomplete pair comes first.
+    """
+    whole = min(n, (end - pos) // 10)
+    ids = cnts = ()
+    if whole:
+        reader = _PAIRS.get(whole)
+        if reader is None:
+            reader = _PAIRS[whole] = struct.Struct("<" + "HQ" * whole)
+        vals = reader.unpack_from(data, pos)
+        ids, cnts = vals[0::2], vals[1::2]
+    ascending = all(map(lt, ids, ids[1:]))
+    if not ascending:
+        seen = set()
+        for bucket in ids:
+            if bucket in seen:
+                raise ValueError(
+                    f"duplicate bucket {bucket} in op {operation!r}")
+            seen.add(bucket)
+    if whole < n:
+        raise _truncated(10, pos + 10 * whole, end)
+    if not ascending:
+        ids, cnts = zip(*sorted(zip(ids, cnts)))
+    return ids, cnts
+
+
+def parse_binary(data) -> Tuple[int, BucketSpec, str, Dict[str, str],
+                                List[Row]]:
+    """Decode and verify one ``OSPROFB1`` payload.
+
+    The one decoder of the binary format: :meth:`ProfileSet.from_bytes`
+    and the warehouse's ``ColumnarSegment.from_bytes`` are loops over
+    its rows.  Returns ``(crc, spec, name, attributes, rows)``, *crc*
+    being the trailer and each row a :data:`Row`.
+
+    Checks run in the order docs/FORMATS.md gives, and any failure
+    raises :class:`ValueError`: the magic, the CRC-32 trailer, then per
+    field truncation, the resolution, the pair count, duplicate buckets
+    and operations, bucket ranges, counts summing to ``total_ops``, and
+    trailing bytes.  Zero counts are accepted and dropped.
+    """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValueError("binary profile must be a bytes-like object")
+    data = bytes(data)
+    if not data.startswith(_BINARY_MAGIC):
+        raise ValueError(
+            f"not a binary osprof profile: magic {data[:8]!r}")
+    end = len(data) - 4
+    if end < _START:
+        raise ValueError("truncated binary profile: missing trailer")
+    (crc,) = _U32.unpack_from(data, end)
+    with memoryview(data) as view:
+        actual_crc = zlib.crc32(view[_START:end]) & 0xFFFFFFFF
+    if crc != actual_crc:
+        raise ValueError(
+            f"binary profile CRC mismatch: trailer says "
+            f"{crc:#010x}, payload hashes to {actual_crc:#010x}")
+
+    pos = _START
+    if pos + 1 > end:
+        raise _truncated(1, pos, end)
+    resolution = data[pos]
+    pos += 1
+    spec = _SPECS.get(resolution)
+    if spec is None:
+        try:
+            spec = _SPECS[resolution] = BucketSpec(resolution)
+        except ValueError as exc:
+            raise ValueError(f"bad binary profile header: {exc}") from None
+    name, pos = _read_str(data, pos, end)
+    if pos + 2 > end:
+        raise _truncated(2, pos, end)
+    (nattrs,) = _U16.unpack_from(data, pos)
+    pos += 2
+    attributes: Dict[str, str] = {}
+    for _ in range(nattrs):
+        key, pos = _read_str(data, pos, end)
+        attributes[key], pos = _read_str(data, pos, end)
+    if pos + 4 > end:
+        raise _truncated(4, pos, end)
+    (nprofiles,) = _U32.unpack_from(data, pos)
+    pos += 4
+
+    rows: List[Row] = []
+    seen = set()
+    for _ in range(nprofiles):
+        operation, pos = _read_str(data, pos, end)
+        layer, pos = _read_str(data, pos, end)
+        if pos + 16 > end:
+            raise _truncated(16, pos, end)
+        total_ops, total_latency = _QD.unpack_from(data, pos)
+        pos += 16
+        if pos + 1 > end:
+            raise _truncated(1, pos, end)
+        flags = data[pos]
+        pos += 1
+        min_latency = max_latency = None
+        if flags & 1:
+            if pos + 8 > end:
+                raise _truncated(8, pos, end)
+            (min_latency,) = _F64.unpack_from(data, pos)
+            pos += 8
+        if flags & 2:
+            if pos + 8 > end:
+                raise _truncated(8, pos, end)
+            (max_latency,) = _F64.unpack_from(data, pos)
+            pos += 8
+        if pos + 4 > end:
+            raise _truncated(4, pos, end)
+        (npairs,) = _U32.unpack_from(data, pos)
+        pos += 4
+        if npairs > MAX_PAIRS:
             raise ValueError(
-                f"truncated binary profile: wanted {n} bytes at offset "
-                f"{self.offset}, only {len(self.data) - self.offset} left")
-        chunk = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: str) -> Tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def string(self) -> str:
-        (length,) = self.unpack("<H")
-        return self.take(length).decode("utf-8")
+                f"bad op {operation!r}: {npairs} bucket pairs, more than "
+                f"the {MAX_PAIRS} bucket indices")
+        ids, cnts = _read_pairs(data, pos, end, npairs, operation)
+        pos += 10 * npairs
+        if operation in seen:
+            raise ValueError(f"duplicate op block {operation!r}")
+        if not operation:
+            raise ValueError("operation name must be non-empty")
+        seen.add(operation)
+        if ids and ids[-1] > MAX_BUCKET:
+            bad = next(b for b in ids if b > MAX_BUCKET)
+            raise ValueError(
+                f"bad op {operation!r}: bucket index {bad} out of range")
+        total = sum(cnts)
+        if total != total_ops:
+            raise ValueError(
+                f"bad op {operation!r}: checksum mismatch: bucket counts "
+                f"sum to {total}, header says {total_ops}")
+        if 0 in cnts:
+            kept = [(b, c) for b, c in zip(ids, cnts) if c]
+            ids, cnts = tuple(zip(*kept)) or ((), ())
+        rows.append((operation, layer, total_ops, total_latency,
+                     min_latency, max_latency, ids, cnts))
+    if pos != end:
+        raise ValueError(
+            f"{end - pos} trailing bytes after the last profile")
+    return crc, spec, name, attributes, rows
 
 
 def _pack_str(out: List[bytes], text: str) -> None:
@@ -140,9 +310,31 @@ class ProfileSet:
             existing.merge(prof)
 
     def merge(self, other: "ProfileSet") -> None:
-        """Fold every profile of *other* into this set (per-CPU merge)."""
+        """Fold every profile of *other* into this set (per-CPU merge).
+
+        Operations new to this set are copied in; the others are folded
+        into the existing histogram without a copy, but with the copy's
+        arithmetic: ``Profile.copy`` re-grows the incoming expansion
+        from empty, so the fold grows a scratch expansion first, and
+        ``_latency_partials`` (and so the warehouse's latency residuals)
+        equal those of ``insert(prof.copy())`` element for element.
+        Nothing of *other* is shared with this set afterwards.
+        """
+        spec = self.spec
+        profiles = self._profiles
         for prof in other:
-            self.insert(prof.copy())
+            src = prof.histogram
+            if src.spec != spec:
+                raise ValueError(
+                    "profile resolution differs from set resolution")
+            existing = profiles.get(prof.operation)
+            if existing is None:
+                profiles[prof.operation] = prof.copy()
+                continue
+            scratch: List[float] = []
+            for partial in src._latency_partials:
+                _grow_expansion(scratch, partial)
+            existing.histogram._fold(src, scratch)
 
     @classmethod
     def merged(cls, sets: Iterable["ProfileSet"], name: str = "",
@@ -362,66 +554,21 @@ class ProfileSet:
         """Decode :meth:`to_bytes` output, verifying the CRC-32 trailer.
 
         Raises :class:`ValueError` on a bad magic, a truncated payload,
-        a checksum mismatch, or any structurally invalid field.
+        a checksum mismatch, or any structurally invalid field (see
+        :func:`parse_binary`).
         """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise ValueError("binary profile must be a bytes-like object")
-        data = bytes(data)
-        if not data.startswith(_BINARY_MAGIC):
-            raise ValueError(
-                f"not a binary osprof profile: magic {data[:8]!r}")
-        if len(data) < len(_BINARY_MAGIC) + 4:
-            raise ValueError("truncated binary profile: missing trailer")
-        payload = data[len(_BINARY_MAGIC):-4]
-        (declared_crc,) = struct.unpack("<I", data[-4:])
-        actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
-        if declared_crc != actual_crc:
-            raise ValueError(
-                f"binary profile CRC mismatch: trailer says "
-                f"{declared_crc:#010x}, payload hashes to {actual_crc:#010x}")
-        reader = _Reader(payload)
-        (resolution,) = reader.unpack("<B")
-        try:
-            spec = BucketSpec(resolution)
-        except ValueError as exc:
-            raise ValueError(f"bad binary profile header: {exc}") from None
-        name = reader.string()
-        (nattrs,) = reader.unpack("<H")
-        attributes = {}
-        for _ in range(nattrs):
-            key = reader.string()
-            attributes[key] = reader.string()
+        _crc, spec, name, attributes, rows = parse_binary(data)
         pset = cls(name=name, spec=spec, attributes=attributes)
-        (nprofiles,) = reader.unpack("<I")
-        for _ in range(nprofiles):
-            operation = reader.string()
-            layer = reader.string()
-            total_ops, total_latency = reader.unpack("<Qd")
-            (flags,) = reader.unpack("<B")
-            min_latency = reader.unpack("<d")[0] if flags & 1 else None
-            max_latency = reader.unpack("<d")[0] if flags & 2 else None
-            (nbuckets,) = reader.unpack("<I")
-            counts: Dict[int, int] = {}
-            for _ in range(nbuckets):
-                bucket, count = reader.unpack("<HQ")
-                if bucket in counts:
-                    raise ValueError(
-                        f"duplicate bucket {bucket} in op {operation!r}")
-                counts[bucket] = count
-            if operation in pset._profiles:
-                raise ValueError(f"duplicate op block {operation!r}")
-            prof = Profile(operation, layer, spec)
-            try:
-                prof.histogram = LatencyBuckets.restore(
-                    counts, total_ops, total_latency,
-                    min_latency, max_latency, spec)
-            except ValueError as exc:
-                raise ValueError(f"bad op {operation!r}: {exc}") from None
-            pset._profiles[operation] = prof
-        if reader.offset != len(payload):
-            raise ValueError(
-                f"{len(payload) - reader.offset} trailing bytes after the "
-                f"last profile")
+        profiles = pset._profiles
+        for (operation, layer, total_ops, total_latency, min_latency,
+             max_latency, ids, cnts) in rows:
+            prof = profiles[operation] = Profile(operation, layer, spec)
+            hist = prof.histogram
+            hist._counts = dict(zip(ids, cnts))
+            hist.total_ops = total_ops
+            hist._latency_partials = [total_latency]
+            hist.min_latency = min_latency
+            hist.max_latency = max_latency
         return pset
 
     # -- file helpers -------------------------------------------------------------

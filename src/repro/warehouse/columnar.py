@@ -7,8 +7,10 @@ Decoding every segment into a full
 capture, but a fleet warehouse answers range queries over hundreds of
 segments, and the object churn dominates.
 
-:class:`ColumnarSegment` decodes the same ``OSPROFB1`` payload (CRC and
-Section-4 checksums still enforced) straight into flat columns:
+:class:`ColumnarSegment` decodes the same ``OSPROFB1`` payload through
+the same parse as ``ProfileSet.from_bytes``
+(:func:`~repro.core.profileset.parse_binary`, so CRC, Section-4
+checksums and every other check are shared) straight into flat columns:
 
 * per-row ``ops`` / ``layers`` string lists (one row per operation),
 * ``total_ops`` (``array('Q')``) and the encoded ``total_latency``
@@ -33,31 +35,15 @@ built the expansion.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.buckets import (MAX_BUCKET, BucketSpec, LatencyBuckets,
                             _grow_expansion)
 from ..core.profile import Profile
-from ..core.profileset import _BINARY_MAGIC, ProfileSet
+from ..core.profileset import ProfileSet, parse_binary
 
 __all__ = ["ColumnarSegment", "group_histogram", "merged_profile_set"]
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_QDB = struct.Struct("<QdB")
-_F64 = struct.Struct("<d")
-
-#: Interleaved (u16 bucket, u64 count) bulk formats, cached per length.
-_PAIR_FMTS: Dict[int, str] = {}
-
-
-def _truncated(wanted: int, pos: int, left: int) -> ValueError:
-    return ValueError(
-        f"truncated binary profile: wanted {wanted} bytes at offset "
-        f"{pos}, only {left} left")
 
 
 class ColumnarSegment:
@@ -105,141 +91,29 @@ class ColumnarSegment:
     def from_bytes(cls, data) -> "ColumnarSegment":
         """Decode one ``OSPROFB1`` payload into columns.
 
-        Enforces exactly what ``ProfileSet.from_bytes`` enforces — the
-        magic, the CRC-32 trailer, bucket ranges, duplicate ops and
-        buckets, the counts-sum-to-total_ops checksum, and a clean end
-        of payload — but touches no ``Profile``/``LatencyBuckets``
-        objects: strings are sliced once, numeric columns land in
-        ``array`` buffers via bulk ``struct.unpack_from``.
+        The payload goes through the same parse as
+        ``ProfileSet.from_bytes`` (:func:`~repro.core.profileset.
+        parse_binary`), so it is checked and rejected identically; the
+        rows land in ``array`` buffers instead of ``Profile`` objects.
         """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise ValueError("binary profile must be a bytes-like object")
-        data = bytes(data)
-        if not data.startswith(_BINARY_MAGIC):
-            raise ValueError(
-                f"not a binary osprof profile: magic {data[:8]!r}")
-        if len(data) < len(_BINARY_MAGIC) + 4:
-            raise ValueError("truncated binary profile: missing trailer")
-        end = len(data) - 4
-        (declared_crc,) = _U32.unpack_from(data, end)
-        with memoryview(data) as view:
-            actual_crc = zlib.crc32(view[len(_BINARY_MAGIC):end]) & 0xFFFFFFFF
-        if declared_crc != actual_crc:
-            raise ValueError(
-                f"binary profile CRC mismatch: trailer says "
-                f"{declared_crc:#010x}, payload hashes to {actual_crc:#010x}")
-
+        crc, spec, name, attributes, rows = parse_binary(data)
         cols = cls()
-        cols.crc = declared_crc
-        cols.nbytes = len(data)
-        pos = len(_BINARY_MAGIC)
-
-        def read_str(pos: int) -> Tuple[str, int]:
-            if pos + 2 > end:
-                raise _truncated(2, pos, end - pos)
-            (n,) = _U16.unpack_from(data, pos)
-            pos += 2
-            if pos + n > end:
-                raise _truncated(n, pos, end - pos)
-            return data[pos:pos + n].decode("utf-8"), pos + n
-
-        if pos + 1 > end:
-            raise _truncated(1, pos, end - pos)
-        resolution = data[pos]
-        pos += 1
-        try:
-            BucketSpec(resolution)
-        except ValueError as exc:
-            raise ValueError(f"bad binary profile header: {exc}") from None
-        cols.resolution = resolution
-        cols.name, pos = read_str(pos)
-        if pos + 2 > end:
-            raise _truncated(2, pos, end - pos)
-        (nattrs,) = _U16.unpack_from(data, pos)
-        pos += 2
-        for _ in range(nattrs):
-            key, pos = read_str(pos)
-            cols.attributes[key], pos = read_str(pos)
-        if pos + 4 > end:
-            raise _truncated(4, pos, end - pos)
-        (nprofiles,) = _U32.unpack_from(data, pos)
-        pos += 4
-
-        seen = set()
-        for _ in range(nprofiles):
-            operation, pos = read_str(pos)
-            layer, pos = read_str(pos)
-            if operation in seen:
-                raise ValueError(f"duplicate op block {operation!r}")
-            seen.add(operation)
-            if pos + _QDB.size > end:
-                raise _truncated(_QDB.size, pos, end - pos)
-            total_ops, total_latency, flags = _QDB.unpack_from(data, pos)
-            pos += _QDB.size
-            min_latency = max_latency = None
-            if flags & 1:
-                if pos + 8 > end:
-                    raise _truncated(8, pos, end - pos)
-                (min_latency,) = _F64.unpack_from(data, pos)
-                pos += 8
-            if flags & 2:
-                if pos + 8 > end:
-                    raise _truncated(8, pos, end - pos)
-                (max_latency,) = _F64.unpack_from(data, pos)
-                pos += 8
-            if pos + 4 > end:
-                raise _truncated(4, pos, end - pos)
-            (nbuckets,) = _U32.unpack_from(data, pos)
-            pos += 4
-            nraw = nbuckets * 10
-            if pos + nraw > end:
-                raise _truncated(nraw, pos, end - pos)
-            if nbuckets:
-                fmt = _PAIR_FMTS.get(nbuckets)
-                if fmt is None:
-                    fmt = _PAIR_FMTS.setdefault(nbuckets,
-                                                "<" + "HQ" * nbuckets)
-                vals = struct.unpack_from(fmt, data, pos)
-                pos += nraw
-                ids = vals[0::2]
-                cnts = vals[1::2]
-                if max(ids) > MAX_BUCKET:
-                    raise ValueError(
-                        f"bad op {operation!r}: bucket index "
-                        f"{max(ids)} out of range")
-                if any(ids[k] >= ids[k + 1] for k in range(nbuckets - 1)):
-                    # Canonical encodings are strictly ascending; accept
-                    # an unsorted (but duplicate-free) stream the way
-                    # the object decoder does.
-                    if len(set(ids)) != nbuckets:
-                        dup = sorted(b for b in set(ids)
-                                     if ids.count(b) > 1)[0]
-                        raise ValueError(
-                            f"duplicate bucket {dup} in op {operation!r}")
-                    pairs = sorted(zip(ids, cnts))
-                    ids = tuple(p[0] for p in pairs)
-                    cnts = tuple(p[1] for p in pairs)
-                if sum(cnts) != total_ops:
-                    raise ValueError(
-                        f"bad op {operation!r}: checksum mismatch: bucket "
-                        f"counts sum to {sum(cnts)}, header says "
-                        f"{total_ops}")
-                cols.bucket_ids.extend(ids)
-                cols.bucket_counts.extend(cnts)
-            elif total_ops:
-                raise ValueError(
-                    f"bad op {operation!r}: checksum mismatch: bucket "
-                    f"counts sum to 0, header says {total_ops}")
+        cols.crc = crc
+        cols.nbytes = memoryview(data).nbytes
+        cols.resolution = spec.resolution
+        cols.name = name
+        cols.attributes = attributes
+        for (operation, layer, total_ops, total_latency, min_latency,
+             max_latency, ids, cnts) in rows:
             cols.ops.append(operation)
             cols.layers.append(layer)
             cols.total_ops.append(total_ops)
             cols.enc_total.append(total_latency)
             cols.mins.append(min_latency)
             cols.maxs.append(max_latency)
+            cols.bucket_ids.extend(ids)
+            cols.bucket_counts.extend(cnts)
             cols.row_start.append(len(cols.bucket_ids))
-        if pos != end:
-            raise ValueError(
-                f"{end - pos} trailing bytes after the last profile")
         return cols
 
     # -- reconstruction ------------------------------------------------------
@@ -258,9 +132,8 @@ class ColumnarSegment:
         for i, operation in enumerate(self.ops):
             prof = Profile(operation, self.layers[i], spec)
             hist = prof.histogram
-            hist._counts = {ids[j]: cnts[j]
-                            for j in range(starts[i], starts[i + 1])
-                            if cnts[j]}
+            a, b = starts[i], starts[i + 1]
+            hist._counts = dict(zip(ids[a:b], cnts[a:b]))
             hist.total_ops = self.total_ops[i]
             hist.total_latency = self.enc_total[i]
             hist.min_latency = self.mins[i]
