@@ -36,7 +36,7 @@ built the expansion.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.buckets import (MAX_BUCKET, BucketSpec, LatencyBuckets,
                             _grow_expansion)
@@ -147,15 +147,21 @@ class ColumnarSegment:
 
 
 class _OpAccumulator:
-    """Merge state for one operation across segments (first layer wins)."""
+    """Merge state for one operation across segments (first layer wins).
 
-    __slots__ = ("layer", "nops", "partials", "dense", "mn", "mx")
+    ``dense`` is the adder, one slot per bucket id; ``seen`` holds the
+    ids added into, so the finish walks only those instead of every
+    slot.
+    """
+
+    __slots__ = ("layer", "nops", "partials", "dense", "seen", "mn", "mx")
 
     def __init__(self, layer: str):
         self.layer = layer
         self.nops = 0
         self.partials: List[float] = []
         self.dense = [0] * (MAX_BUCKET + 1)
+        self.seen: Set[int] = set()
         self.mn: Optional[float] = None
         self.mx: Optional[float] = None
 
@@ -203,8 +209,10 @@ def merged_profile_set(
                 for c in components:
                     _grow_expansion(acc.partials, c)
             dense = acc.dense
-            for j in range(starts[i], starts[i + 1]):
+            a, b = starts[i], starts[i + 1]
+            for j in range(a, b):
                 dense[ids[j]] += cnts[j]
+            acc.seen.update(ids[a:b])
             mn = cols.mins[i]
             if mn is not None and (acc.mn is None or mn < acc.mn):
                 acc.mn = mn
@@ -218,7 +226,9 @@ def merged_profile_set(
         acc = accs[operation]
         prof = Profile(operation, acc.layer, spec)
         hist = prof.histogram
-        hist._counts = {b: c for b, c in enumerate(acc.dense) if c}
+        # Decoded counts are never zero, so every seen slot is non-zero.
+        dense = acc.dense
+        hist._counts = {b: dense[b] for b in sorted(acc.seen)}
         hist.total_ops = acc.nops
         hist._latency_partials = acc.partials
         hist.min_latency = acc.mn

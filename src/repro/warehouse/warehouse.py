@@ -95,6 +95,7 @@ class Warehouse:
     def __init__(self, root, policy: Optional[CompactionPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None, mirror_dir=None):
         self.root = Path(root)
+        self._root_prefix = os.path.join(os.fspath(self.root), "")
         self.policy = policy if policy is not None else CompactionPolicy()
         self._plan = fault_plan if fault_plan is not None else FaultPlan()
         self._fault_attempts: Dict[str, int] = {}
@@ -165,17 +166,6 @@ class Warehouse:
                       seg_id: int) -> str:
         return (f"segments/{source}/t{tier}-{epoch:012d}-"
                 f"{seg_id:08d}{_SUFFIX}")
-
-    def _commit(self, meta: SegmentMeta, payload: bytes, site: str,
-                inputs: tuple = ()) -> SegmentMeta:
-        """The two-step commit shared by ingest and compaction."""
-        self._write_segment(meta.file, payload)
-        self._fire(site, "after-file")
-        record = meta.to_record(inputs=tuple(m.seg_id for m in inputs))
-        self.log.append(record)
-        self._fire(site, "after-log")
-        self.index.apply(record)
-        return meta
 
     # -- ingestion -----------------------------------------------------------
 
@@ -276,7 +266,13 @@ class Warehouse:
                 nbytes=len(payload), ops=tuple(ops),
                 crc=int.from_bytes(payload[-4:], "little"),
                 kind="samples")
-            return self._commit(meta, payload, "warehouse.ingest_state")
+            self._write_segment(meta.file, payload)
+            self._fire("warehouse.ingest_state", "after-file")
+            record = meta.to_record()
+            self.log.append(record)
+            self._fire("warehouse.ingest_state", "after-log")
+            self.index.apply(record)
+            return meta
 
     # -- reading -------------------------------------------------------------
 
@@ -308,29 +304,39 @@ class Warehouse:
                 prof.histogram.correct_total_latency(components)
         return pset
 
-    def _trailer_crc(self, meta: SegmentMeta) -> int:
-        """The stored CRC-32 trailer of a segment file (4-byte read)."""
-        path = self.root / meta.file
+    def _trailer_crc(self, meta: SegmentMeta) -> Optional[int]:
+        """The stored CRC-32 trailer of a segment file (4-byte read).
+
+        Plain syscalls on a prebuilt path string: this runs on every
+        cache hit.  ``None`` when the last four bytes cannot be read
+        (a file shorter than a trailer, say), so the caller decodes the
+        file afresh and the codec names the damage.
+        """
         try:
-            with open(path, "rb") as f:
-                f.seek(-4, os.SEEK_END)
-                trailer = f.read(4)
-        except (FileNotFoundError, OSError):
+            fd = os.open(self._root_prefix + meta.file, os.O_RDONLY)
+        except FileNotFoundError:
             raise WarehouseError(
                 f"committed segment {meta.seg_id} missing on disk: "
                 f"{meta.file}") from None
-        if len(trailer) != 4:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: "
-                f"truncated binary profile: missing trailer")
-        return int.from_bytes(trailer, "little")
+        except OSError:
+            return None
+        try:
+            os.lseek(fd, -4, os.SEEK_END)
+            trailer = os.read(fd, 4)
+        except OSError:
+            return None
+        finally:
+            os.close(fd)
+        return int.from_bytes(trailer, "little") if len(trailer) == 4 \
+            else None
 
     def load_columns(self, meta: SegmentMeta) -> ColumnarSegment:
         """Columnar decode of one committed segment, through the cache.
 
         A hit is validated against the file's CRC trailer (cache key =
         segment id + CRC); a miss — or a trailer that no longer matches
-        the cached entry — reads and decodes the file, CRC enforced.
+        the cached entry or cannot be read — reads and decodes the
+        file, CRC enforced.
         """
         cached = self._columns.get(meta.seg_id)
         if cached is not None and cached.crc == self._trailer_crc(meta):
@@ -459,8 +465,12 @@ class Warehouse:
 
         Runs planning rounds until a fixpoint, so a long-idle warehouse
         catches up in one call (tier-0 -> 1 outputs that are themselves
-        aged immediately continue to tier 2).  Returns the new
-        super-segment metas.
+        aged immediately continue to tier 2).  Each round commits like
+        :meth:`ingest_many`: every super-segment file lands first, then
+        the round's records are journaled with one append, so a crash
+        mid-round commits a prefix of the records and leaves the rest
+        as orphan files for :meth:`gc`.  Returns the new super-segment
+        metas.
         """
         created: List[SegmentMeta] = []
         with self._lock:
@@ -471,39 +481,52 @@ class Warehouse:
                     groups = plan_compactions(self.index, src, self.policy)
                     if not groups:
                         break
-                    for group in groups:
-                        created.append(self._compact_group(group))
+                    created.extend(self._compact_round(groups))
         return created
 
-    def _compact_group(self, group: CompactionGroup) -> SegmentMeta:
+    def _compact_round(self, groups: List[CompactionGroup]
+                       ) -> List[SegmentMeta]:
         # Lock held.  Merge order is pinned by the plan's (epoch,
-        # seg_id) sort, so equal histories compact to identical bytes.
-        merged = merged_profile_set(
-            (self.load_columns(meta), dict(meta.resid))
-            for meta in group.inputs)
-        payload = merged.to_bytes()
-        resid = []
-        for prof in merged:
-            components = prof.histogram.latency_residual()
-            if components:
-                resid.append((prof.operation, tuple(components)))
-        resid = tuple(sorted(resid))
-        seg_id = self.index.next_id
-        meta = SegmentMeta(
-            seg_id=seg_id, source=group.source, tier=group.tier,
-            epoch=group.epoch, span=self.policy.span(group.tier),
-            file=self._segment_file(group.source, group.tier, group.epoch,
-                                    seg_id),
-            nbytes=len(payload),
-            ops=tuple(sorted((prof.layer, prof.operation)
-                             for prof in merged)),
-            resid=resid,
-            crc=int.from_bytes(payload[-4:], "little"))
-        self._commit(meta, payload, "warehouse.compact",
-                     inputs=group.inputs)
-        self._invalidate_columns(group.inputs)
+        # seg_id) sort and ids follow plan order, so equal histories
+        # compact to identical bytes and journal lines.  Each output is
+        # written as soon as it is encoded: the round keeps metas and
+        # records, never payloads.
+        metas: List[SegmentMeta] = []
+        records = []
+        for offset, group in enumerate(groups):
+            merged = merged_profile_set(
+                (self.load_columns(meta), dict(meta.resid))
+                for meta in group.inputs)
+            payload = merged.to_bytes()
+            resid = []
+            for prof in merged:
+                components = prof.histogram.latency_residual()
+                if components:
+                    resid.append((prof.operation, tuple(components)))
+            seg_id = self.index.next_id + offset
+            meta = SegmentMeta(
+                seg_id=seg_id, source=group.source, tier=group.tier,
+                epoch=group.epoch, span=self.policy.span(group.tier),
+                file=self._segment_file(group.source, group.tier,
+                                        group.epoch, seg_id),
+                nbytes=len(payload),
+                ops=tuple(sorted((prof.layer, prof.operation)
+                                 for prof in merged)),
+                resid=tuple(sorted(resid)),
+                crc=int.from_bytes(payload[-4:], "little"))
+            self._write_segment(meta.file, payload)
+            self._fire("warehouse.compact", "after-file")
+            metas.append(meta)
+            records.append(meta.to_record(
+                inputs=tuple(m.seg_id for m in group.inputs)))
+        self.log.append_many(records)
+        self._fire("warehouse.compact", "after-log")
+        for record in records:
+            self.index.apply(record)
+        for group in groups:
+            self._invalidate_columns(group.inputs)
         self._sweep_dead()
-        return meta
+        return metas
 
     def gc(self, source: Optional[str] = None) -> int:
         """Apply top-tier retention and sweep dead/orphan files.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.buckets import BucketSpec
+from repro.core.buckets import MAX_BUCKET, BucketSpec
 from repro.core.profile import Layer, Profile
 from repro.core.profileset import ProfileSet
 from repro.warehouse import (ColumnarSegment, CompactionPolicy, Warehouse,
@@ -45,6 +45,31 @@ def profile_sets(draw):
         for lat in latencies:
             pset.profile(op, layer).add(lat)
     return pset
+
+
+#: Bucket ids over the whole range, with the edges and a few shared ids
+#: drawn often so that inputs overlap as well as stay disjoint.
+bucket_ids = st.one_of(st.sampled_from([0, 1, 255, MAX_BUCKET - 1,
+                                        MAX_BUCKET]),
+                       st.integers(min_value=0, max_value=MAX_BUCKET))
+
+
+@st.composite
+def merge_groups(draw):
+    """1-6 sets at one resolution (1-8) with direct bucket counts."""
+    spec = BucketSpec(draw(st.integers(min_value=1, max_value=8)))
+    psets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        pset = ProfileSet(spec=spec)
+        for op in draw(st.lists(st.sampled_from(["read", "write", "llseek"]),
+                                unique=True, max_size=3)):
+            hist = pset.profile(op, draw(layers)).histogram
+            for bucket, count in draw(st.dictionaries(
+                    bucket_ids, st.integers(min_value=1, max_value=1000),
+                    min_size=1, max_size=12)).items():
+                hist.add_to_bucket(bucket, count)
+        psets.append(pset)
+    return psets
 
 
 def random_pset(seed):
@@ -154,6 +179,19 @@ class TestColumnarMerge:
                                     layer=layer, op=op)
         want = ProfileSet.merged([filtered(p, layer, op) for p in psets])
         assert merged.to_bytes() == want.to_bytes()
+
+    @given(merge_groups())
+    @settings(max_examples=80, deadline=None)
+    def test_merge_finish_parity_over_the_whole_bucket_range(self, psets):
+        blobs = [p.to_bytes() for p in psets]
+        merged = merged_profile_set(
+            (ColumnarSegment.from_bytes(blob), {}) for blob in blobs)
+        want = ProfileSet.merged([ProfileSet.from_bytes(blob)
+                                  for blob in blobs])
+        assert merged.to_bytes() == want.to_bytes()
+        for prof in merged:
+            buckets = list(prof.histogram._counts)
+            assert buckets == sorted(buckets)
 
     def test_empty_merge_is_default_empty_set(self):
         assert merged_profile_set([]).to_bytes() \
@@ -266,4 +304,15 @@ class TestColumnCache:
         (tmp_path / meta.file).write_bytes(blob[:2])
         wh._columns.clear()
         with pytest.raises(WarehouseError):
+            wh.load_columns(wh.segments("web")[0])
+
+    def test_short_file_on_a_cache_hit_reports_damage(self, tmp_path):
+        # A file shorter than the trailer cannot be seeked from its end;
+        # the hit falls back to a decode, whose message names the damage.
+        wh = Warehouse(tmp_path)
+        meta = wh.ingest("web", random_pset(7))
+        wh.query("web")
+        (tmp_path / meta.file).write_bytes(b"OS")
+        with pytest.raises(WarehouseError,
+                           match="damaged: not a binary osprof profile"):
             wh.load_columns(wh.segments("web")[0])

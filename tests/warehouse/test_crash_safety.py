@@ -12,13 +12,18 @@ and service suites use); the seed comes from ``OSPROF_FAULT_SEED`` so
 the CI fault sweep covers this suite too.
 """
 
+import hashlib
 import os
 
 import pytest
 
+from repro.core import durable
+from repro.core.crashfs import CrashFS
 from repro.core.faults import FaultPlan, FaultPoint, InjectedFault
 from repro.core.profileset import ProfileSet
 from repro.warehouse import CompactionPolicy, Warehouse
+from repro.warehouse import warehouse as warehouse_module
+from repro.warehouse.tiers import plan_compactions
 
 SEED = int(os.environ.get("OSPROF_FAULT_SEED", "2006"))
 
@@ -32,6 +37,13 @@ def plan(*points):
 def pset(epoch):
     return ProfileSet.from_operation_latencies(
         {"read": [100.0 + epoch] * 4})
+
+
+def tree(root):
+    """``{relative path: sha256}`` of every file under *root*."""
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def fill(root, epochs, fault_plan=None, policy=SMALL):
@@ -114,16 +126,25 @@ class TestCrashMidCompaction:
 
     def test_crash_after_log_supersedes_inputs_exactly_once(self, tmp_path):
         expected = ProfileSet.merged([pset(e) for e in range(12)])
-        armed = fill(tmp_path, 12, plan(
+        groups = plan_compactions(fill(tmp_path, 12).index, "web", SMALL)
+        assert len(groups) == 5
+        # A round fires after-file once per group, then after-log once:
+        # attempt len(groups) is the first round's after-log.
+        armed = Warehouse(tmp_path, policy=SMALL, fault_plan=plan(
             FaultPoint("warehouse.compact", "crash", key="after-log",
-                       attempts=(1,))))
+                       attempts=(len(groups),))))
         with pytest.raises(InjectedFault):
             armed.compact()
 
         reopened = Warehouse(tmp_path, policy=SMALL)
-        # The super-segment committed; its inputs are superseded (not
+        # The round committed; its inputs are superseded (not
         # double-counted) even though their files were never unlinked.
-        assert reopened.compactions_total == 1
+        assert reopened.compactions_total == len(groups)
+        inputs = [seg_id for record in reopened.log.replay()
+                  for seg_id in record["inputs"]]
+        assert sorted(inputs) == sorted(
+            m.seg_id for group in groups for m in group.inputs)
+        assert not set(inputs) & {m.seg_id for m in reopened.segments()}
         assert reopened.query("web").to_bytes() == expected.to_bytes()
 
         # Finishing the job from the clean state converges to the same
@@ -134,6 +155,60 @@ class TestCrashMidCompaction:
         on_disk = {p.relative_to(tmp_path).as_posix()
                    for p in (tmp_path / "segments").rglob("*.ospb")}
         assert on_disk == reopened.index.live_files()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_crash_inside_a_round_commits_nothing(self, tmp_path, k):
+        clean = fill(tmp_path / "clean", 12)
+        clean.compact()
+        clean.gc()
+
+        expected = ProfileSet.merged([pset(e) for e in range(12)])
+        crashy = tmp_path / "crashy"
+        armed = fill(crashy, 12, plan(
+            FaultPoint("warehouse.compact", "crash", key="after-file",
+                       attempts=(k,))))
+        with pytest.raises(InjectedFault):
+            armed.compact()
+
+        reopened = Warehouse(crashy, policy=SMALL)
+        # The round's records never landed: every input stays live and
+        # the k + 1 files written so far are orphans.
+        assert reopened.compactions_total == 0
+        assert {m.seg_id for m in reopened.segments()} == set(range(1, 13))
+        assert reopened.query("web").to_bytes() == expected.to_bytes()
+        reopened.gc()
+        assert reopened.orphans_removed == k + 1
+        # A retry reproduces the clean run's tree, journal included.
+        reopened.compact()
+        reopened.gc()
+        assert tree(crashy) == tree(tmp_path / "clean")
+
+    def test_one_journal_append_per_round(self, tmp_path, monkeypatch):
+        wh = fill(tmp_path, 12)
+        rounds = []
+
+        def recording_plan(*args, **kwargs):
+            groups = plan_compactions(*args, **kwargs)
+            if groups:
+                rounds.append(groups)
+            return groups
+
+        monkeypatch.setattr(warehouse_module, "plan_compactions",
+                            recording_plan)
+        committed = len(wh.log.replay())
+        fs = CrashFS(tmp_path)
+        with durable.recording(fs):
+            wh.compact()
+        appends = [op for op in fs.ops
+                   if op.kind == "append" and op.path == "wal.log"]
+        assert [len(groups) for groups in rounds] == [5, 2]
+        assert [op.data.count(b"\n") for op in appends] \
+            == [len(groups) for groups in rounds]
+        records = wh.log.replay()[committed:]
+        planned = [[m.seg_id for m in group.inputs]
+                   for groups in rounds for group in groups]
+        assert [(r["id"], r["inputs"]) for r in records] \
+            == [(13 + i, inputs) for i, inputs in enumerate(planned)]
 
     def test_crashed_compaction_retried_matches_clean_run(self, tmp_path):
         clean = fill(tmp_path / "clean", 12)
