@@ -71,9 +71,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import signal
 import sys
+import threading
 from typing import List, Optional
 
 from .analysis.compare import METRICS
@@ -708,6 +711,41 @@ def cmd_sampled(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _stop_signals():
+    """Yield an event that SIGTERM and SIGINT set, for a foreground server.
+
+    Both signals ask for the same graceful stop, even in a process that
+    inherited SIGINT ignored (any background shell job).  A signal that
+    arrives while the server stops is absorbed: the drain has its own
+    deadline.  The previous handlers come back on exit.
+    """
+    stop = threading.Event()
+
+    def request_stop(signum, frame):
+        stop.set()
+
+    previous = {sig: signal.signal(sig, request_stop)
+                for sig in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        yield stop
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
+def _serve_until(stop: threading.Event, server, thread, name: str,
+                 drain_timeout: float) -> None:
+    """Serve until *stop* is set, then drain and close *server*."""
+    while thread.is_alive() and not stop.wait(timeout=1.0):
+        pass
+    if not server.drain(timeout=drain_timeout):
+        print(f"osprof {name}: cancelled {server.drain_cancelled} "
+              f"connection(s) still active after {drain_timeout:g}s "
+              f"drain", file=sys.stderr)
+    server.server_close()
+
+
 def cmd_serve(args) -> int:
     from .service.server import ProfileService, ServiceConfig
     config = ServiceConfig(
@@ -729,29 +767,19 @@ def cmd_serve(args) -> int:
                              warehouse_source=args.db_source)
     from .service.aio_server import AsyncProfileServer
     server = AsyncProfileServer(service, host=args.host, port=args.port)
-    thread = server.serve_in_thread()
-    host, port = server.address
-    print(f"osprof service listening on {host}:{port} "
-          f"(segment={config.segment_seconds:g}s "
-          f"retention={config.retention} metric={config.metric})",
-          file=sys.stderr)
-    if warehouse is not None:
-        print(f"warehouse at {args.db}: "
-              f"{warehouse.segments_total} segment(s) on record, "
-              f"baseline seeded from {service.baseline_seeded} "
-              f"segment(s)", file=sys.stderr)
-    try:
-        while thread.is_alive():
-            thread.join(timeout=1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        drained = server.drain(timeout=args.drain_timeout)
-        if not drained:
-            print(f"osprof serve: {server.active_connections} "
-                  f"connection(s) still active after "
-                  f"{args.drain_timeout:g}s drain", file=sys.stderr)
-        server.server_close()
+    with _stop_signals() as stop:
+        thread = server.serve_in_thread()
+        host, port = server.address
+        print(f"osprof service listening on {host}:{port} "
+              f"(segment={config.segment_seconds:g}s "
+              f"retention={config.retention} metric={config.metric})",
+              file=sys.stderr)
+        if warehouse is not None:
+            print(f"warehouse at {args.db}: "
+                  f"{warehouse.segments_total} segment(s) on record, "
+                  f"baseline seeded from {service.baseline_seeded} "
+                  f"segment(s)", file=sys.stderr)
+        _serve_until(stop, server, thread, "serve", args.drain_timeout)
         service.flush()
     return 0
 
@@ -776,28 +804,18 @@ def cmd_relay(args) -> int:
                          batch=args.batch, retries=args.retries)
     server = RelayServer(relay, host=args.host, port=args.port,
                          flush_interval=args.flush_interval)
-    thread = server.serve_in_thread()
-    host, port = server.address
-    print(f"osprof relay {relay.relay_id} listening on {host}:{port} "
-          f"(forwarding batches of {args.batch} to "
-          f"{upstream[0]}:{upstream[1]})", file=sys.stderr)
-    pending = relay.pending_entries()
-    if pending:
-        print(f"osprof relay: {len(pending)} spooled push(es) from a "
-              f"previous run will be forwarded", file=sys.stderr)
-        server.signal_forward()
-    try:
-        while thread.is_alive():
-            thread.join(timeout=1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        drained = server.drain(timeout=args.drain_timeout)
-        if not drained:
-            print(f"osprof relay: {server.active_connections} "
-                  f"connection(s) still active after "
-                  f"{args.drain_timeout:g}s drain", file=sys.stderr)
-        server.server_close()
+    with _stop_signals() as stop:
+        thread = server.serve_in_thread()
+        host, port = server.address
+        print(f"osprof relay {relay.relay_id} listening on {host}:{port} "
+              f"(forwarding batches of {args.batch} to "
+              f"{upstream[0]}:{upstream[1]})", file=sys.stderr)
+        pending = relay.pending_entries()
+        if pending:
+            print(f"osprof relay: {len(pending)} spooled push(es) from "
+                  f"a previous run will be forwarded", file=sys.stderr)
+            server.signal_forward()
+        _serve_until(stop, server, thread, "relay", args.drain_timeout)
         left = len(relay.pending_entries())
         if left:
             print(f"osprof relay: {left} push(es) still spooled "

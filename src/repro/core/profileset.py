@@ -38,8 +38,9 @@ to identical bytes, and decode→encode round-trips are byte-identical.
 :func:`parse_binary` is the only decoder of this format: precompiled
 ``struct.Struct`` reads at offsets, one bulk read per operation's bucket
 pairs, and every check of docs/FORMATS.md in its order.
-:meth:`ProfileSet.from_bytes` and the warehouse's
-``ColumnarSegment.from_bytes`` are thin loops over the rows it returns.
+:meth:`ProfileSet.fold_rows` turns the rows it returns into histograms
+(:meth:`ProfileSet.from_bytes` is a new set plus that fold), and the
+warehouse's ``ColumnarSegment.from_bytes`` is a thin loop over them.
 """
 
 from __future__ import annotations
@@ -336,6 +337,47 @@ class ProfileSet:
                 _grow_expansion(scratch, partial)
             existing.histogram._fold(src, scratch)
 
+    def fold_rows(self, rows: Iterable[Row]) -> None:
+        """Fold decoded :func:`parse_binary` rows into this set.
+
+        The one loop that turns rows into histograms: equal, byte for
+        byte and partial for partial, to
+        ``merge(ProfileSet.from_bytes(payload))`` without building the
+        intermediate set.  An operation new to this set is taken as the
+        row gives it; an existing one keeps its layer and grows its
+        expansion by the row's single total, as :meth:`merge` does.
+        The rows must share this set's resolution; the caller checks.
+        """
+        spec = self.spec
+        profiles = self._profiles
+        for (operation, layer, total_ops, total_latency, min_latency,
+             max_latency, ids, cnts) in rows:
+            prof = profiles.get(operation)
+            if prof is None:
+                prof = profiles[operation] = Profile(operation, layer, spec)
+                hist = prof.histogram
+                hist._counts = dict(zip(ids, cnts))
+                hist.total_ops = total_ops
+                hist._latency_partials = [total_latency]
+                hist.min_latency = min_latency
+                hist.max_latency = max_latency
+                continue
+            hist = prof.histogram
+            counts = hist._counts
+            counts_get = counts.get
+            for bucket, count in zip(ids, cnts):
+                counts[bucket] = counts_get(bucket, 0) + count
+            hist.total_ops += total_ops
+            _grow_expansion(hist._latency_partials, total_latency)
+            if min_latency is not None and (
+                    hist.min_latency is None
+                    or min_latency < hist.min_latency):
+                hist.min_latency = min_latency
+            if max_latency is not None and (
+                    hist.max_latency is None
+                    or max_latency > hist.max_latency):
+                hist.max_latency = max_latency
+
     @classmethod
     def merged(cls, sets: Iterable["ProfileSet"], name: str = "",
                spec: Optional[BucketSpec] = None) -> "ProfileSet":
@@ -559,16 +601,7 @@ class ProfileSet:
         """
         _crc, spec, name, attributes, rows = parse_binary(data)
         pset = cls(name=name, spec=spec, attributes=attributes)
-        profiles = pset._profiles
-        for (operation, layer, total_ops, total_latency, min_latency,
-             max_latency, ids, cnts) in rows:
-            prof = profiles[operation] = Profile(operation, layer, spec)
-            hist = prof.histogram
-            hist._counts = dict(zip(ids, cnts))
-            hist.total_ops = total_ops
-            hist._latency_partials = [total_latency]
-            hist.min_latency = min_latency
-            hist.max_latency = max_latency
+        pset.fold_rows(rows)
         return pset
 
     # -- file helpers -------------------------------------------------------------

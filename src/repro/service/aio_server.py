@@ -16,17 +16,23 @@ hardening semantics:
 * the **max-frame guard** (judged from the 9 header bytes alone, the
   oversized payload is never buffered; the peer gets an ``ERROR``),
 * bounded-slot **RETRY_AFTER backpressure** through the service's own
-  ``try_acquire_ingest_slot`` gate, for every frame the table marks
-  ``gated``,
+  ``try_acquire_ingest_slot`` gate, for the frames the table marks
+  ``gated``: a connection claims one slot per batch of replies, at its
+  first gated frame, and holds it until the batch is written,
 * **graceful drain** (stop accepting, wait for in-flight connections,
-  cancel stragglers after a timeout — an acked push is always already
-  merged, because the ack is written after the synchronous ingest),
+  cancel stragglers after a timeout and count them — an acked push is
+  always already merged, because the ack is produced after the
+  synchronous ingest),
 * the service's **metrics** page, plus transport gauges of its own.
 
-Memory stays bounded under pipelining by construction: every complete
-frame already parsed is dispatched before the next ``read()`` is
-issued, so a connection buffers at most one read chunk plus one
-partial frame — there is no unbounded pending-frame queue to fill.
+Every complete frame already parsed is dispatched before the next
+``read()`` is issued, and the replies of one read go out as one
+``write`` and one ``drain()``: a client pipelining eight pushes is
+woken once, not eight times.  Memory stays bounded under pipelining by
+construction: a connection buffers at most one read chunk plus one
+partial frame of requests, and at most :data:`READ_CHUNK` bytes plus
+one reply of unwritten replies (a batch is written early once it
+reaches :data:`READ_CHUNK`) — there is no unbounded queue to fill.
 
 The server runs ``serve_forever()`` on the calling thread or
 ``serve_in_thread()`` on a daemon thread (the CLI, tests, embedding);
@@ -40,7 +46,7 @@ import asyncio
 import concurrent.futures
 import socket
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .protocol import (MAGIC, FrameParser, FrameTooLarge, FrameType,
                        ProtocolError, encode_retry_after, _HEADER)
@@ -52,6 +58,27 @@ __all__ = ["AsyncProfileServer", "READ_CHUNK"]
 #: carry this bounds a connection's buffer at READ_CHUNK + header +
 #: max_frame_bytes.
 READ_CHUNK = 1 << 16
+
+
+class _Batch:
+    """One connection's replies not yet written, and the slot they hold.
+
+    Every frame parsed out of one read is answered into the batch; the
+    batch goes out as one ``write`` before the next read (or early, once
+    it holds :data:`READ_CHUNK` bytes).
+    """
+
+    __slots__ = ("frames", "nbytes", "slot")
+
+    def __init__(self):
+        self.frames: List[bytes] = []
+        self.nbytes = 0
+        self.slot = False
+
+    def add(self, ftype: int, payload: bytes) -> None:
+        frame = _HEADER.pack(MAGIC, ftype, len(payload)) + payload
+        self.frames.append(frame)
+        self.nbytes += len(frame)
 
 
 class AsyncProfileServer:
@@ -81,6 +108,9 @@ class AsyncProfileServer:
         # which is fine for monotone counters).
         self.connections_total = 0
         self.max_parser_buffered = 0
+        self.max_reply_buffered = 0
+        #: Connections the last :meth:`drain` had to cancel.
+        self.drain_cancelled = 0
         #: The frames this transport answers: the service's table, with
         #: METRICS answered by the page that adds the loop's gauges.
         self.handlers: Dict[int, FrameHandler] = {
@@ -150,9 +180,10 @@ class AsyncProfileServer:
         """Graceful shutdown: stop accepting, wait for in-flight peers.
 
         Returns True if every connection finished inside *timeout*;
-        stragglers (idle watchers parked on a read) are cancelled —
-        every push they were acked for is already merged, so nothing
-        acknowledged is ever lost.  Callable from any thread.
+        stragglers (idle watchers parked on a read) are cancelled and
+        counted in :attr:`drain_cancelled` — every push they were acked
+        for is already merged, so nothing acknowledged is ever lost.
+        Callable from any thread.
         """
         if self._loop is None:
             return True
@@ -164,12 +195,14 @@ class AsyncProfileServer:
         return True
 
     async def _drain_async(self, timeout: float) -> bool:
+        self.drain_cancelled = 0
         if self._server is not None:
             self._server.close()
         deadline = self._loop.time() + max(timeout, 0.0)
         while self._conn_tasks:
             remaining = deadline - self._loop.time()
             if remaining <= 0:
+                self.drain_cancelled = len(self._conn_tasks)
                 for task in list(self._conn_tasks):
                     task.cancel()
                 await asyncio.gather(*self._conn_tasks,
@@ -224,6 +257,7 @@ class AsyncProfileServer:
         read_timeout = service.config.read_timeout
         loop = asyncio.get_running_loop()
         task = asyncio.current_task()
+        batch = _Batch()
         # The idle guard: a plain timer handle armed only while parked
         # on a read.  ``asyncio.wait_for`` would wrap every read in a
         # fresh Task — at fleet ingest rates that wrapper dominates the
@@ -235,89 +269,113 @@ class AsyncProfileServer:
             timed_out[0] = True
             task.cancel()
 
-        while True:
-            # Dispatch every frame already buffered before reading more:
-            # this is the bounded-memory invariant — pipelined requests
-            # are answered from the buffer, never queued beside it.
-            try:
-                frame = parser.next_frame()
-            except FrameTooLarge as exc:
-                # Reject from the header alone; tell the peer why, then
-                # drop the stream (its payload bytes would desync us).
-                service.note_oversize_frame()
+        try:
+            while True:
+                # Dispatch every frame already buffered before reading
+                # more, and answer them all with one write: pipelined
+                # requests are answered from the buffer, never queued
+                # beside it, and cost one send per read, not per frame.
                 try:
-                    await self._send(writer, FrameType.ERROR,
-                                     str(exc).encode("utf-8"))
-                except OSError:
-                    pass
-                return
-            except ProtocolError:
-                return  # desynchronized stream: drop the connection
-            if frame is not None:
-                ftype, payload = frame
-                try:
-                    await self._dispatch(writer, ftype, payload)
-                except ProtocolError:
+                    frame = parser.next_frame()
+                except FrameTooLarge as exc:
+                    # Reject from the header alone; tell the peer why,
+                    # then drop the stream (its payload bytes would
+                    # desync us).
+                    service.note_oversize_frame()
+                    batch.add(FrameType.ERROR, str(exc).encode("utf-8"))
+                    await self._write_batch(writer, batch)
                     return
-                except ValueError as exc:
+                except ProtocolError:
+                    # A desynchronized stream: answer what came before
+                    # it, then drop the connection.
+                    await self._write_batch(writer, batch)
+                    return
+                if frame is not None:
+                    ftype, payload = frame
                     try:
-                        await self._send(writer, FrameType.ERROR,
-                                         str(exc).encode("utf-8"))
-                    except OSError:
+                        self._dispatch(batch, ftype, payload)
+                    except ProtocolError:
+                        await self._write_batch(writer, batch)
                         return
+                    except ValueError as exc:
+                        batch.add(FrameType.ERROR, str(exc).encode("utf-8"))
+                    if batch.nbytes >= READ_CHUNK:
+                        # A read of small requests can ask for large
+                        # replies: bound what waits unwritten.
+                        if not await self._write_batch(writer, batch):
+                            return
+                    continue
+                if batch.frames:
+                    if not await self._write_batch(writer, batch):
+                        return
+                guard = loop.call_later(read_timeout, _idle_expired)
+                try:
+                    chunk = await reader.read(READ_CHUNK)
+                except asyncio.CancelledError:
+                    if timed_out[0]:
+                        service.note_read_timeout()
+                        return  # idle or wedged peer: reclaim the slot
+                    raise  # a real cancellation (drain/close), not ours
                 except OSError:
-                    return  # peer went away mid-reply
-                continue
-            guard = loop.call_later(read_timeout, _idle_expired)
-            try:
-                chunk = await reader.read(READ_CHUNK)
-            except asyncio.CancelledError:
-                if timed_out[0]:
-                    service.note_read_timeout()
-                    return  # idle or wedged peer: reclaim the slot
-                raise  # a real cancellation (drain/close), not ours
-            except OSError:
-                return  # peer vanished between frames
-            finally:
-                guard.cancel()
-            if not chunk:
-                return  # EOF (mid-frame or not, the stream is over)
-            parser.feed(chunk)
-            if parser.max_buffered > self.max_parser_buffered:
-                self.max_parser_buffered = parser.max_buffered
+                    return  # peer vanished between frames
+                finally:
+                    guard.cancel()
+                if not chunk:
+                    return  # EOF (mid-frame or not, the stream is over)
+                parser.feed(chunk)
+                if parser.max_buffered > self.max_parser_buffered:
+                    self.max_parser_buffered = parser.max_buffered
+        finally:
+            self._release_slot(batch)
 
-    async def _send(self, writer: asyncio.StreamWriter, ftype: int,
-                    payload: bytes = b"") -> None:
-        writer.write(_HEADER.pack(MAGIC, ftype, len(payload)) + payload)
-        await writer.drain()
+    async def _write_batch(self, writer: asyncio.StreamWriter,
+                           batch: _Batch) -> bool:
+        """Write the batch's replies in one go; False if the peer left.
+
+        The ingest slot the batch claimed is held until ``drain()``
+        returns: a slow reader occupies a slot, which is exactly the
+        load signal that should trip ``RETRY_AFTER`` for everyone else.
+        """
+        if batch.nbytes > self.max_reply_buffered:
+            self.max_reply_buffered = batch.nbytes
+        try:
+            if batch.frames:
+                writer.write(b"".join(batch.frames))
+                batch.frames.clear()
+                batch.nbytes = 0
+                await writer.drain()
+            return True
+        except OSError:
+            return False  # peer went away mid-reply
+        finally:
+            self._release_slot(batch)
+
+    def _release_slot(self, batch: _Batch) -> None:
+        if batch.slot:
+            batch.slot = False
+            self.service.release_ingest_slot()
 
     # -- dispatch ----------------------------------------------------------
 
-    async def _dispatch(self, writer: asyncio.StreamWriter, ftype: int,
-                        payload: bytes) -> None:
+    def _dispatch(self, batch: _Batch, ftype: int, payload: bytes) -> None:
+        """Answer one frame into *batch*; a ValueError is the caller's."""
         handler = self.handlers.get(ftype)
         if handler is None:
-            await self._send(writer, FrameType.ERROR,
-                             f"unsupported frame type "
-                             f"{FrameType.name(ftype)}".encode("utf-8"))
+            batch.add(FrameType.ERROR,
+                      f"unsupported frame type "
+                      f"{FrameType.name(ftype)}".encode("utf-8"))
             return
         service = self.service
-        if not handler.gated:
-            await self._send(writer, *handler.handle(service, payload))
-            return
-        if not service.try_acquire_ingest_slot():
-            service.note_backpressure()
-            await self._send(writer, FrameType.RETRY_AFTER,
-                             encode_retry_after(
-                                 service.config.retry_after_seconds))
-            return
-        # The slot is held across the reply's drain(): a slow reader
-        # occupies an ingest slot, which is exactly the load signal
-        # that should trip RETRY_AFTER for everyone else.
-        try:
-            await self._send(writer, *handler.handle(service, payload))
-        finally:
-            service.release_ingest_slot()
+        if handler.gated and not batch.slot:
+            # One slot per batch, claimed by its first gated frame and
+            # given back once the batch is written.
+            batch.slot = service.try_acquire_ingest_slot()
+            if not batch.slot:
+                service.note_backpressure()
+                batch.add(FrameType.RETRY_AFTER, encode_retry_after(
+                    service.config.retry_after_seconds))
+                return
+        batch.add(*handler.handle(service, payload))
 
     def _metrics(self, service, payload: bytes) -> Reply:
         service.tick()
@@ -330,4 +388,6 @@ class AsyncProfileServer:
                   f"{self.active_connections}\n"
                 + f"osprof_aio_connections_total {self.connections_total}\n"
                 + f"osprof_aio_parser_buffered_max "
-                  f"{self.max_parser_buffered}\n")
+                  f"{self.max_parser_buffered}\n"
+                + f"osprof_aio_reply_buffered_max "
+                  f"{self.max_reply_buffered}\n")

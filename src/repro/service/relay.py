@@ -45,7 +45,7 @@ from typing import List, Optional, Tuple
 
 from ..core import durable
 from ..core.faults import FaultPlan
-from ..core.profileset import ProfileSet
+from ..core.profileset import ProfileSet, parse_binary
 from .aio_server import AsyncProfileServer
 from .client import Backoff, ResilientServiceClient
 from .protocol import FrameType, decode_push_seq, encode_push_seq
@@ -220,7 +220,7 @@ class RelayService:
         relay crash; the ledger entry is rebuilt from the spool on
         restart, so the ack's loss cannot double-merge either.
         """
-        pset = self._decode(payload)  # ValueError -> bad-payload
+        ops, operations = self._decode(payload)  # ValueError -> bad-payload
         with self._lock:
             if not self.ledger.is_new(client_id, seq):
                 self.duplicates += 1
@@ -230,30 +230,38 @@ class RelayService:
             self.ledger.record(client_id, seq)
             self.accepted += 1
             self.accepted_bytes += len(payload)
-            self.accepted_ops += pset.total_ops()
-        return (f"relayed {pset.total_ops()} ops over {len(pset)} "
+            self.accepted_ops += ops
+        return (f"relayed {ops} ops over {operations} "
                 f"operations (seq {seq})", True)
 
-    def accept_payload(self, payload: bytes) -> ProfileSet:
-        """Accept one plain (unsequenced) push; no dedup contract."""
-        pset = self._decode(payload)
+    def accept_payload(self, payload: bytes) -> Tuple[int, int]:
+        """Accept one plain (unsequenced) push; no dedup contract.
+
+        Returns ``(ops, operations)`` of the accepted profile.
+        """
+        ops, operations = self._decode(payload)
         with self._lock:
             # Anonymous entries carry no idempotence contract; the
             # constant seq is a placeholder that never touches a ledger.
             self.spool.append(encode_push_seq(_ANON, 1, payload))
             self.accepted += 1
             self.accepted_bytes += len(payload)
-            self.accepted_ops += pset.total_ops()
-        return pset
+            self.accepted_ops += ops
+        return ops, operations
 
-    def _decode(self, payload: bytes) -> ProfileSet:
-        """Decode one pushed profile, counting the ones that do not."""
+    def _decode(self, payload: bytes) -> Tuple[int, int]:
+        """Validate one pushed profile: its ``(ops, operations)``.
+
+        The payload is checked by the binary decoder and only its rows
+        are read; the ones that do not decode are counted and raise.
+        """
         try:
-            return ProfileSet.from_bytes(payload)
+            rows = parse_binary(payload)[4]
         except ValueError:
             with self._lock:
                 self.rejected += 1
             raise
+        return sum(row[2] for row in rows), len(rows)
 
     # -- self-defence accounting (same surface as ProfileService) -----------
 
@@ -523,10 +531,10 @@ class RelayServer(AsyncProfileServer):
     # -- dispatch ------------------------------------------------------------
 
     def _push(self, relay: RelayService, payload: bytes) -> Reply:
-        pset = relay.accept_payload(payload)
+        ops, operations = relay.accept_payload(payload)
         self._maybe_forward()
-        return FrameType.OK, (f"relayed {pset.total_ops()} ops over "
-                              f"{len(pset)} operations").encode("utf-8")
+        return FrameType.OK, (f"relayed {ops} ops over "
+                              f"{operations} operations").encode("utf-8")
 
     def _push_seq(self, relay: RelayService, payload: bytes) -> Reply:
         client_id, seq, profile = decode_push_seq(payload)

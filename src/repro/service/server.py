@@ -28,7 +28,7 @@ from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
                     Tuple)
 
 from ..core.buckets import BucketSpec
-from ..core.profileset import ProfileSet
+from ..core.profileset import ProfileSet, parse_binary
 from ..sampling.stateprofile import StateProfile
 from .alerts import Alert, DifferentialAlerter
 from .protocol import (MAX_PAYLOAD, FrameType, decode_json, decode_push_seq,
@@ -155,23 +155,27 @@ class ProfileService:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest_payload(self, payload: bytes) -> ProfileSet:
+    def ingest_payload(self, payload: bytes) -> Tuple[int, int]:
         """Decode one binary profile payload and fold it into the store.
 
-        Raises :class:`ValueError` (propagated to the client as an
+        Returns ``(ops, operations)``: the requests the payload carried
+        and how many operations they span.  Decoding runs outside the
+        service lock; only the fold into the open segment runs under
+        it.  Raises :class:`ValueError` (propagated to the client as an
         ``ERROR`` frame) on a corrupt payload or a resolution mismatch;
         the store is untouched in that case.
         """
         started = time.perf_counter()
         try:
-            pset = ProfileSet.from_bytes(payload)
+            _crc, spec, _name, _attributes, rows = parse_binary(payload)
         except ValueError:
             with self._lock:
                 self.ingest_errors += 1
             raise
+        ops = sum(row[2] for row in rows)
         with self._lock:
             try:
-                closed = self.store.ingest(pset)
+                closed = self.store.ingest(spec, rows)
             except ValueError:
                 self.ingest_errors += 1
                 raise
@@ -179,11 +183,11 @@ class ProfileService:
             elapsed = time.perf_counter() - started
             self.ingest_requests += 1
             self.ingest_bytes += len(payload)
-            self.ingest_ops += pset.total_ops()
+            self.ingest_ops += ops
             self.ingest_seconds_sum += elapsed
             if elapsed > self.ingest_seconds_max:
                 self.ingest_seconds_max = elapsed
-        return pset
+        return ops, len(rows)
 
     def ingest_sequenced(self, client_id: str, seq: int,
                          payload: bytes) -> Tuple[str, bool]:
@@ -201,10 +205,10 @@ class ProfileService:
                     self.ingest_duplicates += 1
                     return (f"duplicate of push seq {seq}; already merged",
                             False)
-            pset = self.ingest_payload(payload)
+            ops, operations = self.ingest_payload(payload)
             with self._lock:
                 self.ledger.record(client_id, seq)
-        return (f"merged {pset.total_ops()} ops over {len(pset)} "
+        return (f"merged {ops} ops over {operations} "
                 f"operations (seq {seq})", True)
 
     def ingest_state(self, payload: bytes,
@@ -486,9 +490,9 @@ def bad_payload(ingest: Callable[[], str]) -> Reply:
 
 
 def _push(service, payload: bytes) -> Reply:
-    pset = service.ingest_payload(payload)
-    return FrameType.OK, (f"merged {pset.total_ops()} ops over "
-                          f"{len(pset)} operations").encode("utf-8")
+    ops, operations = service.ingest_payload(payload)
+    return FrameType.OK, (f"merged {ops} ops over "
+                          f"{operations} operations").encode("utf-8")
 
 
 def _push_seq(service, payload: bytes) -> Reply:

@@ -3,11 +3,11 @@
 "OSprof is capable of taking successive snapshots by using new sets of
 buckets to capture latency at predefined time intervals" (Section 3.1).
 :class:`SegmentStore` keeps that idea running indefinitely: wall time is
-divided into fixed-length segments, every pushed
-:class:`~repro.core.profileset.ProfileSet` is merged into the segment
-containing its arrival time, and only the most recent ``retention``
-closed segments are kept — a ring buffer of complete profiles, each as
-cheap as the paper's "≈1 KB per operation" dumps.
+divided into fixed-length segments, the decoded rows of every pushed
+profile are folded into the segment containing its arrival time, and
+only the most recent ``retention`` closed segments are kept — a ring
+buffer of complete profiles, each as cheap as the paper's "≈1 KB per
+operation" dumps.
 
 Because profile merging is plain histogram addition (commutative and
 associative), the merge of everything retained is byte-identical to a
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from ..core.buckets import BucketSpec
-from ..core.profileset import ProfileSet
+from ..core.profileset import ProfileSet, Row
 
 __all__ = ["Segment", "SegmentStore", "PushLedger"]
 
@@ -163,22 +163,24 @@ class SegmentStore:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest(self, pset: ProfileSet,
+    def ingest(self, spec: BucketSpec, rows: Iterable[Row],
                now: Optional[float] = None) -> List[Segment]:
-        """Merge one pushed profile set into the current segment.
+        """Fold one pushed profile's decoded rows into the current segment.
 
-        Returns whatever segments this push's arrival time closed, so
-        the caller can run differential analysis on them immediately.
-        A resolution mismatch raises :class:`ValueError` — collectors
-        must agree on the bucket spec.
+        *spec* and *rows* are what
+        :func:`~repro.core.profileset.parse_binary` returned for the
+        push.  Returns whatever segments this push's arrival time
+        closed, so the caller can run differential analysis on them
+        immediately.  A resolution mismatch raises :class:`ValueError`
+        — collectors must agree on the bucket spec.
         """
-        if pset.spec != self.spec:
+        if spec != self.spec:
             raise ValueError(
-                f"pushed profile resolution {pset.spec.resolution} differs "
+                f"pushed profile resolution {spec.resolution} differs "
                 f"from the store's {self.spec.resolution}")
         now = self.clock() if now is None else now
         closed = self.advance(now)
-        self._current.pset.merge(pset)
+        self._current.pset.fold_rows(rows)
         self._current.ingests += 1
         return closed
 

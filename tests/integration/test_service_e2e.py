@@ -12,6 +12,7 @@ The acceptance pair for the service tentpole:
   segment interval.
 """
 
+import signal
 import subprocess
 import sys
 import threading
@@ -195,3 +196,49 @@ class TestCliServePushWatch:
     def test_push_requires_source(self, capsys):
         from repro.cli import main
         assert main(["push", "127.0.0.1:1"]) == 2
+
+
+class TestCliServeStops:
+    def test_sigterm_drains_and_flushes_with_sigint_ignored(self, tmp_path):
+        """SIGTERM commits the queued batch, even from a background job.
+
+        A shell starts a background job with SIGINT ignored, so the
+        server must stop on SIGTERM as on SIGINT: drain (cancelling the
+        idle client left connected, and saying so), then flush the
+        closed segment that ``--flush-batch 4`` still holds.
+        """
+        from repro.warehouse import Warehouse
+        db = tmp_path / "wh"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--db", str(db), "--flush-batch", "4",
+             "--segment-seconds", "2", "--drain-timeout", "0.5"],
+            stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        try:
+            line = proc.stderr.readline()
+            assert "listening on" in line
+            host, port = line.split("listening on ")[1].split()[0] \
+                .rsplit(":", 1)
+            first, second = (ProfileSet.from_operation_latencies(
+                {"read": [100.0 * seed + i for i in range(30)]})
+                for seed in (1, 2))
+            with ServiceClient(host, int(port)) as client:
+                client.push_sequenced("c1", 1, first.to_bytes())
+                time.sleep(2.0)  # into the next segment
+                client.push_sequenced("c1", 2, second.to_bytes())
+                page = client.metrics()
+                assert "osprof_warehouse_flush_pending 1\n" in page
+                assert "osprof_warehouse_segments_total 0\n" in page
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
+            assert "cancelled 1 connection(s) still active" \
+                in proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        stored = Warehouse(str(db)).query("service")
+        assert stored.to_bytes() == ProfileSet.merged([first]).to_bytes()
+

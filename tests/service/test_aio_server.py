@@ -20,7 +20,8 @@ from repro.core.profileset import ProfileSet
 from repro.service.aio_server import READ_CHUNK, AsyncProfileServer
 from repro.service.client import (RetryAfter, ServiceClient, ServiceError,
                                   parse_endpoint)
-from repro.service.protocol import (MAGIC, FrameType, recv_frame,
+from repro.service.protocol import (MAGIC, FrameType, decode_retry_after,
+                                    encode_push_seq, recv_frame,
                                     send_frame, _HEADER)
 from repro.service.server import ProfileService, ServiceConfig
 
@@ -29,6 +30,10 @@ def pset(seed=0, ops=20):
     return ProfileSet.from_operation_latencies(
         {"read": [100 + seed * 13 + i * 7 for i in range(ops)],
          "write": [4000 + seed * 5 + i * 11 for i in range(ops // 2)]})
+
+
+def frame(ftype, payload=b""):
+    return _HEADER.pack(MAGIC, ftype, len(payload)) + payload
 
 
 def make_server(**config_kwargs):
@@ -196,6 +201,117 @@ class TestBackpressure:
             server.server_close()
 
 
+class TestBatchedReplies:
+    """Every frame of one read is answered, in order, by one write."""
+
+    def test_mixed_burst_answered_in_stream_order(self):
+        service, server = make_server()
+        try:
+            host, port = server.address
+            good = pset(1).to_bytes()
+            burst = b"".join([
+                frame(FrameType.PUSH_SEQ, encode_push_seq("c1", 1, good)),
+                frame(FrameType.PUSH_SEQ, encode_push_seq("c1", 1, good)),
+                frame(FrameType.PUSH_SEQ,
+                      encode_push_seq("c1", 2, b"not a profile")),
+                frame(0x7F),
+                frame(FrameType.METRICS),
+                frame(FrameType.PUSH_SEQ, encode_push_seq("c1", 2, good)),
+            ])
+            sock = socket.create_connection((host, port), timeout=10.0)
+            try:
+                sock.sendall(burst)
+                replies = [recv_frame(sock) for _ in range(6)]
+            finally:
+                sock.close()
+            assert [r[0] for r in replies] == [
+                FrameType.OK, FrameType.OK, FrameType.ERROR,
+                FrameType.ERROR, FrameType.TEXT, FrameType.OK]
+            assert replies[0][1].startswith(b"merged ")
+            assert replies[0][1].endswith(b"(seq 1)")
+            assert replies[1][1].startswith(b"duplicate of push seq 1")
+            assert replies[2][1].startswith(b"bad-payload: ")
+            assert replies[3][1].startswith(b"unsupported frame type")
+            assert b"osprof_aio_reply_buffered_max" in replies[4][1]
+            assert replies[5][1].endswith(b"(seq 2)")
+            assert service.snapshot().to_bytes() == \
+                ProfileSet.merged([pset(1), pset(1)]).to_bytes()
+        finally:
+            server.server_close()
+
+    def test_large_replies_flushed_early(self):
+        service, server = make_server()
+        try:
+            host, port = server.address
+            ops = {f"op{i:03d}": [100.0 * (i + 1)] * 3 for i in range(60)}
+            service.ingest_payload(
+                ProfileSet.from_operation_latencies(ops).to_bytes())
+            reply_size = _HEADER.size + len(service.snapshot().to_bytes())
+            count = 2000
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                sock.sendall(frame(FrameType.SNAPSHOT) * count)
+                for _ in range(count):
+                    reply = recv_frame(sock)
+                    assert reply is not None
+                    assert reply[0] == FrameType.PROFILE
+            finally:
+                sock.close()
+            assert count * reply_size > 4 * READ_CHUNK
+            # Replies of one read wait unwritten only until they fill a
+            # read chunk: at most READ_CHUNK bytes plus one reply.
+            assert 0 < server.max_reply_buffered \
+                <= READ_CHUNK + reply_size
+            page = server.metrics_text()
+            assert f"osprof_aio_reply_buffered_max " \
+                f"{server.max_reply_buffered}\n" in page
+        finally:
+            server.server_close()
+
+    def test_gated_frames_of_a_saturated_batch_all_retry(self):
+        service, server = make_server(max_pending=2,
+                                      retry_after_seconds=0.07)
+        try:
+            host, port = server.address
+            push = frame(FrameType.PUSH, pset().to_bytes())
+            assert service.try_acquire_ingest_slot()
+            assert service.try_acquire_ingest_slot()
+            sock = socket.create_connection((host, port), timeout=10.0)
+            try:
+                sock.sendall(push * 5 + frame(FrameType.METRICS))
+                replies = [recv_frame(sock) for _ in range(6)]
+                assert [r[0] for r in replies[:5]] == \
+                    [FrameType.RETRY_AFTER] * 5
+                assert decode_retry_after(replies[0][1]) == \
+                    pytest.approx(0.07)
+                assert replies[5][0] == FrameType.TEXT
+                assert service.backpressure_rejections == 5
+                assert service.ingest_requests == 0
+                # One slot free: the whole batch runs under it.
+                service.release_ingest_slot()
+                sock.sendall(push * 5)
+                replies = [recv_frame(sock) for _ in range(5)]
+                assert [r[0] for r in replies] == [FrameType.OK] * 5
+            finally:
+                sock.close()
+            assert service.ingest_requests == 5
+            # Once the batch is written its slot comes back: both slots
+            # can be claimed again.
+            service.release_ingest_slot()
+            deadline = time.time() + 5.0
+            claimed = 0
+            while claimed < 2 and time.time() < deadline:
+                if service.try_acquire_ingest_slot():
+                    claimed += 1
+                else:
+                    time.sleep(0.01)
+            assert claimed == 2
+            service.release_ingest_slot()
+            service.release_ingest_slot()
+        finally:
+            server.server_close()
+
+
 class TestBoundedMemory:
     """Pipelining cannot grow an unbounded pending-frame queue."""
 
@@ -279,6 +395,7 @@ class TestDrain:
             time.sleep(0.01)
         assert not server.drain(timeout=0.3)  # straggler was cancelled
         assert server.active_connections == 0
+        assert server.drain_cancelled == 1
         sock.close()
         server.server_close()
 

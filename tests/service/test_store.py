@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.buckets import BucketSpec
-from repro.core.profileset import ProfileSet
+from repro.core.profileset import ProfileSet, parse_binary
 from repro.service.store import SegmentStore
 
 
@@ -19,6 +19,12 @@ def pset(op="read", latency=100.0, ops=10):
     return ProfileSet.from_operation_latencies({op: [latency] * ops})
 
 
+def decoded(profiles):
+    """The ``(spec, rows)`` a push of *profiles* hands the store."""
+    _crc, spec, _name, _attributes, rows = parse_binary(profiles.to_bytes())
+    return spec, rows
+
+
 class TestConstruction:
     def test_rejects_bad_segment_length(self):
         with pytest.raises(ValueError):
@@ -32,17 +38,17 @@ class TestConstruction:
 class TestIngestAndRotation:
     def test_ingest_merges_into_current_segment(self):
         store = SegmentStore(5.0, 4, clock=FakeClock())
-        store.ingest(pset(ops=10))
-        store.ingest(pset(ops=7))
+        store.ingest(*decoded(pset(ops=10)))
+        store.ingest(*decoded(pset(ops=7)))
         assert store.current.pset["read"].total_ops == 17
         assert store.current.ingests == 2
 
     def test_rotation_closes_segment_at_boundary(self):
         clock = FakeClock()
         store = SegmentStore(5.0, 4, clock=clock)
-        store.ingest(pset(ops=3))
+        store.ingest(*decoded(pset(ops=3)))
         clock.now += 5.0
-        closed = store.ingest(pset(ops=4))
+        closed = store.ingest(*decoded(pset(ops=4)))
         assert [seg.index for seg in closed] == [0]
         assert closed[0].pset["read"].total_ops == 3
         assert store.current.index == 1
@@ -50,9 +56,9 @@ class TestIngestAndRotation:
     def test_idle_gap_does_not_materialize_empty_segments(self):
         clock = FakeClock()
         store = SegmentStore(5.0, 10, clock=clock)
-        store.ingest(pset())
+        store.ingest(*decoded(pset()))
         clock.now += 50.0  # ten segment lengths later
-        closed = store.ingest(pset())
+        closed = store.ingest(*decoded(pset()))
         assert len(closed) == 1
         assert store.current.index == 10
         assert len(store.closed_segments()) == 1
@@ -61,7 +67,7 @@ class TestIngestAndRotation:
         clock = FakeClock()
         store = SegmentStore(1.0, 2, clock=clock)
         for i in range(5):
-            store.ingest(pset(ops=i + 1))
+            store.ingest(*decoded(pset(ops=i + 1)))
             clock.now += 1.0
         store.advance()
         kept = store.closed_segments()
@@ -73,7 +79,7 @@ class TestIngestAndRotation:
     def test_advance_without_ingest_rotates(self):
         clock = FakeClock()
         store = SegmentStore(2.0, 4, clock=clock)
-        store.ingest(pset())
+        store.ingest(*decoded(pset()))
         clock.now += 2.0
         closed = store.advance()
         assert len(closed) == 1
@@ -84,16 +90,16 @@ class TestIngestAndRotation:
         alien = ProfileSet(spec=BucketSpec(2))
         alien.add("read", 100.0)
         with pytest.raises(ValueError, match="resolution"):
-            store.ingest(alien)
+            store.ingest(*decoded(alien))
 
 
 class TestMerged:
     def test_merged_spans_closed_and_current(self):
         clock = FakeClock()
         store = SegmentStore(5.0, 4, clock=clock)
-        store.ingest(pset(ops=10))
+        store.ingest(*decoded(pset(ops=10)))
         clock.now += 5.0
-        store.ingest(pset(ops=5))
+        store.ingest(*decoded(pset(ops=5)))
         merged = store.merged()
         assert merged["read"].total_ops == 15
 
@@ -104,7 +110,7 @@ class TestMerged:
                   for i in range(6)]
         pushes += [pset("llseek", 50.0, ops=9)]
         for i, p in enumerate(pushes):
-            store.ingest(p)
+            store.ingest(*decoded(p))
             if i % 2:
                 clock.now += 5.0
         serial = ProfileSet.merged(pushes)
@@ -120,7 +126,7 @@ class TestMerged:
         clock = FakeClock()
         store = SegmentStore(5.0, 4, clock=clock)
         assert len(store) == 1
-        store.ingest(pset(ops=4))
+        store.ingest(*decoded(pset(ops=4)))
         clock.now += 5.0
         store.advance()
         assert len(store) == 2
@@ -134,7 +140,7 @@ class TestEvictionHook:
         store = SegmentStore(5.0, 2, clock=clock,
                              on_evict=evicted.append)
         for i in range(6):
-            store.ingest(pset(latency=100.0 + i))
+            store.ingest(*decoded(pset(latency=100.0 + i)))
             clock.now += 5.0
         store.advance()
         # 6 segments closed, retention 2: the oldest 4 were dropped,
@@ -147,7 +153,7 @@ class TestEvictionHook:
         clock = FakeClock()
         store = SegmentStore(5.0, 1, clock=clock)
         for _ in range(3):
-            store.ingest(pset())
+            store.ingest(*decoded(pset()))
             clock.now += 5.0
         store.advance()
         assert store.segments_evicted == 2
@@ -162,7 +168,7 @@ class TestEvictionHook:
 
         store = SegmentStore(5.0, 1, clock=clock, on_evict=explode)
         for _ in range(2):
-            store.ingest(pset())
+            store.ingest(*decoded(pset()))
             clock.now += 5.0
         with pytest.raises(RuntimeError, match="durability layer down"):
             store.advance()
