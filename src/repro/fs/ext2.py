@@ -224,8 +224,10 @@ class Ext2(FileSystem):
                 in_page = min(remaining,
                               BLOCK_SIZE - file.pos % BLOCK_SIZE)
                 block = inode.block_for(page_index)
-                yield CpuBurst(self.kernel.rng.jitter(
-                    self.READPAGE_SETUP_COST, sigma=0.3))
+                cycles = self.kernel.rng.jitter(self.READPAGE_SETUP_COST,
+                                                sigma=0.3)
+                if not self.kernel.burn(proc, cycles):
+                    yield CpuBurst(cycles)
                 yield from self.driver.read(block)
                 file.pos += in_page
                 remaining -= in_page

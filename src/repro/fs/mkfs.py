@@ -42,8 +42,12 @@ class BlockAllocator:
         if count < 1:
             raise ValueError("must allocate at least one block")
         blocks = []
+        # The draw chance(fragmentation) makes, without re-checking the
+        # range __init__ already validated.
+        random = self.rng.random
+        fragmentation = self.fragmentation
         for _ in range(count):
-            if self.rng.chance(self.fragmentation):
+            if random() < fragmentation:
                 # Skip ahead: a hole left by deleted files.
                 self._next += self.rng.randint(1, 64)
             if self._next >= self.geometry.num_blocks:

@@ -25,6 +25,7 @@ the CI digest pins rely on.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -81,8 +82,9 @@ class StateProfile:
 
     def __init__(self, name: str = "", interval: float = 0.0,
                  attributes: Optional[Dict[str, str]] = None):
-        if interval < 0:
-            raise ValueError("interval must be non-negative")
+        if not 0 <= interval < math.inf:
+            raise ValueError("interval must be non-negative and finite, "
+                             f"got {interval!r}")
         self.name = name
         self.interval = float(interval)
         self.intervals = 0
@@ -242,9 +244,9 @@ class StateProfile:
         reader = _Reader(payload)
         name = reader.string()
         interval, intervals = reader.unpack("<dQ")
-        if interval < 0:
-            raise ValueError(f"bad state profile: negative interval "
-                             f"{interval}")
+        if not 0 <= interval < math.inf:
+            raise ValueError(f"bad state profile: interval {interval} is "
+                             f"not non-negative and finite")
         (nattrs,) = reader.unpack("<H")
         attributes = {}
         for _ in range(nattrs):

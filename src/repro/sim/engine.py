@@ -63,7 +63,10 @@ class Event:
         self.cancelled = False
 
     def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        time = self.time
+        other_time = other.time
+        return time < other_time or (time == other_time
+                                     and self.seq < other.seq)
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""

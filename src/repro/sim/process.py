@@ -14,6 +14,16 @@ interprets:
 
 Sub-operations compose with plain ``yield from``, exactly like nested
 function calls in a kernel (Ext2's ``readdir`` calling ``readpage``).
+
+A plain ``yield CpuBurst(cycles)`` is always correct.  Hot kernel code
+that burns CPU on every request first offers the burst to
+:meth:`Kernel.burn <repro.sim.scheduler.Kernel.burn>`, which completes
+it in place when it would be the next event, so it never travels up the
+``yield from`` chain::
+
+    cycles = kernel.rng.jitter(cost)
+    if not kernel.burn(proc, cycles):
+        yield CpuBurst(cycles)
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ __all__ = ["SimRandom", "derive_seed"]
 
 T = TypeVar("T")
 
+#: ``random.NV_MAGICCONST``: the Kinderman–Monahan constant 4·e^(-1/2)/√2.
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+
 
 def derive_seed(base_seed: int, salt: str) -> int:
     """Deterministic child seed for ``(base_seed, salt)``.
@@ -40,6 +43,7 @@ class SimRandom:
 
     def __init__(self, seed: int = 2006):
         self._rng = random.Random(seed)
+        self._random = self._rng.random
         self.seed = seed
 
     def fork(self, salt: str) -> "SimRandom":
@@ -90,12 +94,23 @@ class SimRandom:
         if not 0 < mean < math.inf:
             raise ValueError(
                 f"mean must be positive and finite, got {mean!r}")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= sigma < math.inf:
+            raise ValueError(
+                f"sigma must be non-negative and finite, got {sigma!r}")
         if sigma == 0:
             return mean
         mu = math.log(mean) - sigma * sigma / 2.0
-        return self._rng.lognormvariate(mu, sigma)
+        # random.lognormvariate(mu, sigma), inline: the same
+        # Kinderman–Monahan draws and float arithmetic as
+        # normalvariate, so the stream stays where it would be.
+        random_ = self._random
+        log = math.log
+        while True:
+            u1 = random_()
+            u2 = 1.0 - random_()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return math.exp(mu + z * sigma)
 
     def exponential(self, mean: float) -> float:
         """Exponential inter-arrival time with the given mean."""
@@ -109,4 +124,7 @@ class SimRandom:
         if not 0 < minimum < math.inf:
             raise ValueError(
                 f"minimum must be positive and finite, got {minimum!r}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {alpha!r}")
         return minimum * self._rng.paretovariate(alpha)

@@ -18,10 +18,12 @@ Processes are generator coroutines (:mod:`repro.sim.process`).  The
 scheduler maintains the invariant that, between events, a RUNNING
 process always has exactly one pending completion event for its current
 burst chunk.  A burst whose completion would be the very next event is
-not queued at all: :meth:`Engine.advance
-<repro.sim.engine.Engine.advance>` moves the clock to its end, and the
-stepping loop accounts it and resumes the generator in place, so such a
-burst never leaves the loop.  Its completion counts as an event and
+not queued at all: :meth:`Kernel.burn` asks :meth:`Engine.advance
+<repro.sim.engine.Engine.advance>` to move the clock to its end and
+accounts it on the spot.  Hot kernel code calls ``burn`` from inside
+the generator, so such a burst is never even yielded; a yielded
+:class:`CpuBurst` goes through the same ``burn`` in the stepping loop
+before it is queued.  An in-place completion counts as an event and
 runs the queued path's accounting, so every clock value, event count
 and profile is what a queued completion would give.
 """
@@ -234,6 +236,49 @@ class Kernel:
 
     # -- burst execution -----------------------------------------------------------
 
+    def burn(self, proc: Process, cycles: float) -> bool:
+        """Complete a CPU burst of *proc* in place, if it is the next event.
+
+        Callable from inside the generator the kernel is stepping: when
+        True the burst is done, accounted through the same path as a
+        queued chunk; when False nothing changed and the caller yields
+        ``CpuBurst(cycles)`` instead.  An empty burst is always done.  A
+        burst runs in place only when *proc* is the process being
+        stepped, no deferred preemption is due, the burst fits the
+        quantum without a forced preemption at its end, and
+        :meth:`Engine.advance <repro.sim.engine.Engine.advance>` accepts
+        its end time.
+        """
+        if not 0 <= cycles < math.inf:
+            raise ValueError("burst cycles must be finite and "
+                             f"non-negative, got {cycles!r}")
+        if cycles == 0:
+            return True
+        if proc is not self.stepping:
+            return False
+        run_queue = self.run_queue
+        left = proc.quantum_left
+        if run_queue and (
+                (proc.preempt_pending and proc.in_kernel == 0)
+                or (left - cycles <= 1e-9
+                    and self._can_force_preempt(proc))):
+            return False
+        if cycles > left:
+            return False
+        # A dispatcher with more to hand out always has another dispatch
+        # event queued at this time, so advance refuses.
+        engine = self.engine
+        start = engine.now
+        if not engine.advance(start + cycles):
+            return False
+        cpu = self.cpus[proc.cpu]
+        proc.remaining_burst = cycles
+        cpu.chunk_size = cycles
+        cpu.chunk_started = start
+        cpu.chunk_end = engine.now
+        self._account_chunk(proc, cpu)
+        return True
+
     def _run_chunk(self, proc: Process) -> None:
         cpu = self.cpus[proc.cpu]
         if proc.quantum_left <= 0:
@@ -325,35 +370,19 @@ class Kernel:
                 return
             proc.send_value = None
 
-            # Deferred (non-preemptive-kernel) preemption happens at the
-            # first effect boundary where the process is in user mode.
-            boundary_preempt = (proc.preempt_pending
-                                and proc.in_kernel == 0
-                                and bool(self.run_queue))
-
             if isinstance(effect, CpuBurst):
                 cycles = effect.cycles
-                if cycles <= 0:
+                if self.burn(proc, cycles):
                     continue
                 proc.remaining_burst = cycles
-                if boundary_preempt:
+                # Deferred (non-preemptive-kernel) preemption happens at
+                # the first effect boundary where the process is in user
+                # mode.
+                if proc.preempt_pending and proc.in_kernel == 0 \
+                        and self.run_queue:
                     proc.preempt_pending = False
                     proc.preemptions += 1
                     self._requeue(proc)
-                    return
-                # A burst that fits the quantum and would complete
-                # before anything else happens completes right here.
-                # (A dispatcher with more to hand out always has another
-                # dispatch event queued at this time, so advance refuses.)
-                start = self.engine.now
-                if cycles <= proc.quantum_left \
-                        and self.engine.advance(start + cycles):
-                    cpu = self.cpus[proc.cpu]
-                    cpu.chunk_size = cycles
-                    cpu.chunk_started = start
-                    cpu.chunk_end = self.engine.now
-                    if self._account_chunk(proc, cpu):
-                        continue
                     return
                 self._run_chunk(proc)
                 return

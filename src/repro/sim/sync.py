@@ -69,7 +69,10 @@ class Semaphore:
 
     def acquire(self, proc: Process) -> ProcBody:
         """Generator effect: ``yield from sem.acquire(proc)``."""
-        yield CpuBurst(self.kernel.rng.jitter(self.op_cost))
+        kernel = self.kernel
+        cycles = kernel.rng.jitter(self.op_cost)
+        if not kernel.burn(proc, cycles):
+            yield CpuBurst(cycles)
         self.acquisitions += 1
         if self.count > 0:
             self.count -= 1
@@ -89,15 +92,18 @@ class Semaphore:
 
     def release(self, proc: Process) -> ProcBody:
         """Generator effect: ``yield from sem.release(proc)``."""
-        yield CpuBurst(self.kernel.rng.jitter(self.op_cost))
+        kernel = self.kernel
+        cycles = kernel.rng.jitter(self.op_cost)
+        if not kernel.burn(proc, cycles):
+            yield CpuBurst(cycles)
         self.holder = None
         if self.fair:
-            woke = self.kernel.fire_condition(self._cond, wake_all=False)
+            woke = kernel.fire_condition(self._cond, wake_all=False)
             if woke == 0:
                 self.count += 1
         else:
             self.count += 1
-            self.kernel.fire_condition(self._cond, wake_all=False)
+            kernel.fire_condition(self._cond, wake_all=False)
         return None
 
     def held(self, proc: Process, body: ProcBody) -> ProcBody:

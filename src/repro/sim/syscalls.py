@@ -107,6 +107,7 @@ class SyscallLayer:
                                                 fs.read(proc, file, n))
         """
         self.calls += 1
+        kernel = self.kernel
         hook = self._hook_cost()
         probe = self.probe_point
         # Stamp the root request context: this is where a request enters
@@ -118,12 +119,14 @@ class SyscallLayer:
             # Trap into the kernel, then the PRE hook — all system time.
             entry_cost = self.syscall_cost / 2.0 + hook
             if entry_cost > 0:
-                yield CpuBurst(self.kernel.rng.jitter(entry_cost))
-            start = self.kernel.read_tsc(proc)
+                cycles = kernel.rng.jitter(entry_cost)
+                if not kernel.burn(proc, cycles):
+                    yield CpuBurst(cycles)
+            start = kernel.read_tsc(proc)
             try:
                 result = yield from body
             finally:
-                end = self.kernel.read_tsc(proc)
+                end = kernel.read_tsc(proc)
                 if self.instrumentation == "full":
                     probe.record(operation, end - start, start=start,
                                  context=context,
@@ -132,7 +135,9 @@ class SyscallLayer:
             # POST hook and return-to-user path.
             exit_cost = self.syscall_cost / 2.0 + hook
             if exit_cost > 0:
-                yield CpuBurst(self.kernel.rng.jitter(exit_cost))
+                cycles = kernel.rng.jitter(exit_cost)
+                if not kernel.burn(proc, cycles):
+                    yield CpuBurst(cycles)
         finally:
             proc.in_kernel -= 1
             if context is not None:

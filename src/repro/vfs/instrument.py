@@ -83,18 +83,21 @@ class FsInstrument:
     def invoke(self, proc: Process, operation: str,
                body: ProcBody) -> ProcBody:
         """FSPROF_PRE(op); body; FSPROF_POST(op)."""
+        kernel = self.kernel
         hook = self._hook_cost()
         probe = self.probe_point
         context = probe.push_context(proc, operation) if probe.active \
             else None
         try:
             if hook > 0:
-                yield CpuBurst(self.kernel.rng.jitter(hook))
-            start = self.kernel.read_tsc(proc)
+                cycles = kernel.rng.jitter(hook)
+                if not kernel.burn(proc, cycles):
+                    yield CpuBurst(cycles)
+            start = kernel.read_tsc(proc)
             try:
                 result = yield from body
             finally:
-                end = self.kernel.read_tsc(proc)
+                end = kernel.read_tsc(proc)
                 if self.variant == "full":
                     self.operations_profiled += 1
                     probe.record(operation, end - start, start=start,
@@ -102,7 +105,9 @@ class FsInstrument:
                                  cpu=proc.cpu if proc.cpu is not None
                                  else 0)
             if hook > 0:
-                yield CpuBurst(self.kernel.rng.jitter(hook))
+                cycles = kernel.rng.jitter(hook)
+                if not kernel.burn(proc, cycles):
+                    yield CpuBurst(cycles)
         finally:
             if context is not None:
                 ProbePoint.pop_context(proc, context)

@@ -29,9 +29,11 @@ __all__ = ["generic_file_llseek", "generic_file_llseek_patched",
 LLSEEK_BODY_COST = 110.0
 
 
-def _update_position(kernel: Kernel, file: File, offset: int,
-                     whence: int) -> ProcBody:
-    yield CpuBurst(kernel.rng.jitter(LLSEEK_BODY_COST))
+def _update_position(kernel: Kernel, proc: Process, file: File,
+                     offset: int, whence: int) -> ProcBody:
+    cycles = kernel.rng.jitter(LLSEEK_BODY_COST)
+    if not kernel.burn(proc, cycles):
+        yield CpuBurst(cycles)
     if whence == SEEK_SET:
         new_pos = offset
     elif whence == SEEK_CUR:
@@ -53,7 +55,8 @@ def generic_file_llseek(kernel: Kernel, proc: Process, file: File,
     sem = file.inode.i_sem
     yield from sem.acquire(proc)
     try:
-        new_pos = yield from _update_position(kernel, file, offset, whence)
+        new_pos = yield from _update_position(kernel, proc, file,
+                                              offset, whence)
     finally:
         yield from sem.release(proc)
     return new_pos
@@ -67,5 +70,6 @@ def generic_file_llseek_patched(kernel: Kernel, proc: Process, file: File,
     if file.inode.is_dir:
         return (yield from generic_file_llseek(kernel, proc, file,
                                                offset, whence))
-    new_pos = yield from _update_position(kernel, file, offset, whence)
+    new_pos = yield from _update_position(kernel, proc, file, offset,
+                                          whence)
     return new_pos

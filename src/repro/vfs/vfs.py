@@ -99,7 +99,10 @@ class Vfs:
 
     def _dispatch(self, proc: Process, operation: str,
                   body: ProcBody) -> ProcBody:
-        yield CpuBurst(self.kernel.rng.jitter(VFS_DISPATCH_COST))
+        kernel = self.kernel
+        cycles = kernel.rng.jitter(VFS_DISPATCH_COST)
+        if not kernel.burn(proc, cycles):
+            yield CpuBurst(cycles)
         result = yield from self.fsprof.invoke(proc, operation, body)
         return result
 

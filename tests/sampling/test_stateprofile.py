@@ -5,6 +5,7 @@ profiles always encode to identical bytes — the property behind the
 pinned state digests and the byte-identity warehouse round trips.
 """
 
+import math
 import struct
 import zlib
 
@@ -153,6 +154,19 @@ class TestCodec:
             out.append(struct.pack("<Q", 1))
         with pytest.raises(ValueError, match="duplicate"):
             StateProfile.from_bytes(rechecksum(b"".join(out)))
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, -1.0])
+    def test_bad_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="finite"):
+            StateProfile(interval=interval)
+        # The same interval in a CRC-valid payload: it follows the
+        # u16-prefixed name "t".
+        payload = bytearray(sample_profile(interval=100.0).to_bytes()
+                            [len(MAGIC):-4])
+        assert struct.unpack_from("<d", payload, 3) == (100.0,)
+        struct.pack_into("<d", payload, 3, interval)
+        with pytest.raises(ValueError, match="bad state profile: interval"):
+            StateProfile.from_bytes(rechecksum(bytes(payload)))
 
     def test_non_bytes_rejected(self):
         with pytest.raises(ValueError):

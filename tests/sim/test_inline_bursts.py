@@ -1,8 +1,9 @@
 """Differential oracle: in-place CPU bursts against the all-heap path.
 
 A CPU burst whose completion would be the very next event completes in
-place, inside the scheduler's stepping loop, through
-:meth:`Engine.advance <repro.sim.engine.Engine.advance>`.
+place through :meth:`Kernel.burn <repro.sim.scheduler.Kernel.burn>`,
+called from the scheduler's stepping loop or from inside the generator,
+which asks :meth:`Engine.advance <repro.sim.engine.Engine.advance>`.
 :class:`HeapOnlyEngine` refuses every such request, so each burst
 completion is a queued event, the way every completion used to be.
 Every run here is made twice on identically built machines, once per
@@ -12,9 +13,10 @@ final clock, the context switches and every process's accounting.
 
 The matrix covers every registry scenario with the timer interrupt on
 and off and the sampler off, at 0.37 ms and at 0.5 ms, plus kernel-level
-programs for in-kernel preemption on and off, two CPUs, quantum expiry
-both mid-burst and exactly at a burst boundary, and a timer interrupt
-delaying a running chunk.  Iterations are cut to keep the file quick.
+programs for in-kernel preemption on and off, two CPUs, semaphore
+contention on two CPUs, quantum expiry both mid-burst and exactly at a
+burst boundary, and a timer interrupt delaying a running chunk.
+Iterations are cut to keep the file quick.
 """
 
 from contextlib import contextmanager
@@ -225,6 +227,18 @@ def test_two_cpus():
     kernel, _ = assert_same_as_heap_path(programs, num_cpus=2, quantum=900,
                                          switch_cost=15.0)
     assert {p.cpu_time > 0 for p in kernel.processes} == {True}
+
+
+def test_semaphore_contention_on_two_cpus():
+    # Four lock-heavy processes share two CPUs and one semaphore, so
+    # Semaphore.acquire and release burn in place from inside the
+    # generator while other acquirers sleep on the semaphore.
+    worker = [("lock", 0, 150), ("burst", 100, 1), ("lock", 0, 300),
+              ("burst", 50, 0)] * 3
+    kernel, _ = assert_same_as_heap_path([worker] * 4, num_cpus=2,
+                                         quantum=800, switch_cost=10.0)
+    # Nothing sleeps but semaphore waiters.
+    assert {p.wait_time > 0 for p in kernel.processes} == {True}
 
 
 @pytest.mark.parametrize("contended", [False, True],

@@ -1,6 +1,7 @@
 """Tests for the deterministic random source."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,11 @@ class TestDraws:
             rng.jitter(0)
         with pytest.raises(ValueError):
             rng.jitter(100, sigma=-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                rng.jitter(100.0, bad)
+        # Nothing was drawn: the stream is where a fresh one starts.
+        assert rng.random() == SimRandom(1).random()
 
     def test_exponential_positive(self):
         rng = SimRandom(2)
@@ -65,6 +71,9 @@ class TestDraws:
             assert rng.pareto_cycles(50) >= 50
         with pytest.raises(ValueError):
             rng.pareto_cycles(0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                rng.pareto_cycles(100.0, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("draw", ["jitter", "exponential",
@@ -75,6 +84,28 @@ class TestDraws:
             getattr(rng, draw)(bad)
         # Nothing was drawn: the stream is where a fresh one starts.
         assert rng.random() == SimRandom(4).random()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("draw", ["jitter", "pareto_cycles"])
+    def test_non_finite_shape_rejected(self, draw, bad):
+        rng = SimRandom(4)
+        with pytest.raises(ValueError, match="finite"):
+            getattr(rng, draw)(100.0, bad)
+        assert rng.random() == SimRandom(4).random()
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           mean=st.floats(min_value=1.0, max_value=1e9),
+           sigma=st.sampled_from([1e-6, 0.15, 0.3, 2.0]))
+    @settings(max_examples=200)
+    def test_jitter_is_lognormvariate(self, seed, mean, sigma):
+        """Bit for bit ``random.lognormvariate``, stream position included."""
+        ours = SimRandom(seed)
+        reference = random.Random(seed)
+        mu = math.log(mean) - sigma * sigma / 2.0
+        for _ in range(3):
+            assert ours.jitter(mean, sigma) \
+                == reference.lognormvariate(mu, sigma)
+        assert ours.random() == reference.random()
 
     @given(st.integers(min_value=0, max_value=2**30))
     @settings(max_examples=20)

@@ -541,3 +541,194 @@ class TestInPlaceBursts:
         k.spawn(background, "bg")
         k.run_until_done(procs)
         assert k.now == max(p.finished_at for p in procs)
+
+
+def burn_snapshot(k, proc):
+    """What a refused burn must leave untouched."""
+    cpu = k.cpus[proc.cpu] if proc.cpu is not None else None
+    return (k.now, k.engine.events_processed, proc.cpu_time, proc.sys_time,
+            proc.user_time, proc.remaining_burst, proc.quantum_left,
+            proc.preempt_pending, proc.preemptions,
+            None if cpu is None else (cpu.busy_cycles, cpu.chunk_size,
+                                      cpu.chunk_started, cpu.chunk_end))
+
+
+class TestBurn:
+    """``Kernel.burn``: a burst completed from inside the generator."""
+
+    @staticmethod
+    def burn_in(k, cycles, setup=None, target=None, others=0,
+                run=lambda k, procs: k.run_until_done(procs)):
+        """Call ``k.burn`` once from a process body; returns the outcome.
+
+        The body first burns one cycle, which lets the start-up dispatch
+        events drain, so the call happens at time 1 with the quantum one
+        cycle short.  *setup* then runs inside the body
+        (``setup(k, proc)``), *target* picks the process passed to burn
+        (default: the stepping one) and *others* spawns that many
+        short bystanders, which wait in the run queue while the burner
+        holds the only CPU.
+        """
+        seen = {}
+
+        def body(proc):
+            yield CpuBurst(1)
+            if setup is not None:
+                setup(k, proc)
+            victim = proc if target is None else target(k, proc)
+            seen["before"] = burn_snapshot(k, proc)
+            seen["burned"] = k.burn(victim, cycles)
+            seen["after"] = burn_snapshot(k, proc)
+            if not seen["burned"]:
+                yield CpuBurst(cycles)
+
+        def bystander(proc):
+            yield CpuBurst(10)
+
+        burner = k.spawn(body, "burner")
+        procs = [burner] + [k.spawn(bystander, f"other{i}")
+                            for i in range(others)]
+        run(k, procs)
+        return seen
+
+    def assert_refused(self, seen):
+        assert seen["burned"] is False
+        assert seen["after"] == seen["before"]
+
+    def test_refuses_when_a_queued_event_is_earlier_or_tied(self):
+        for cycles, burned in ((49, True), (50, False), (51, False)):
+            k = make_kernel()
+            k.engine.schedule_at(51, lambda: None)
+            seen = self.burn_in(k, cycles)
+            if burned:
+                assert seen["burned"] is True
+            else:
+                self.assert_refused(seen)
+
+    def test_refuses_when_an_observer_tick_comes_first(self):
+        for cycles, burned in ((28, True), (29, False)):
+            k = make_kernel()
+            k.engine.observe(30, lambda ticks: None)
+            seen = self.burn_in(k, cycles)
+            if burned:
+                assert seen["burned"] is True
+            else:
+                self.assert_refused(seen)
+
+    def test_refuses_when_halted_or_out_of_budget(self):
+        k = make_kernel()
+        self.assert_refused(self.burn_in(
+            k, 10, setup=lambda k, proc: k.engine.halt(),
+            run=lambda k, procs: k.run()))
+        k = make_kernel()
+        # The dispatch and the first burst use up the budget.
+        self.assert_refused(self.burn_in(
+            k, 10, run=lambda k, procs: k.run(max_events=2)))
+
+    def test_refuses_at_a_user_boundary_with_a_deferred_preemption(self):
+        def pending(k, proc):
+            proc.preempt_pending = True
+
+        k = make_kernel()
+        seen = self.burn_in(k, 10, setup=pending, others=1)
+        self.assert_refused(seen)
+        assert k.processes[0].preemptions == 1
+
+        # In kernel mode the preemption stays deferred.
+        def pending_in_kernel(k, proc):
+            proc.preempt_pending = True
+            proc.in_kernel += 1
+
+        k = make_kernel()
+        assert self.burn_in(k, 10, setup=pending_in_kernel,
+                            others=1)["burned"] is True
+
+    def test_refuses_a_burst_beyond_the_quantum(self):
+        k = make_kernel(quantum=1000)
+        self.assert_refused(self.burn_in(k, 1000))
+        # Exactly the rest of the quantum with nobody waiting: a fresh
+        # quantum.
+        k = make_kernel(quantum=1000)
+        seen = self.burn_in(k, 999)
+        assert seen["burned"] is True
+        assert seen["after"][6] == 1000
+
+    def test_refuses_a_quantum_ending_at_the_burst_with_a_forced_preemption(
+            self):
+        k = make_kernel(quantum=1000)
+        seen = self.burn_in(k, 999, others=1)
+        self.assert_refused(seen)
+        assert k.processes[0].preemptions == 1
+
+        # In kernel mode on a non-preemptive kernel the CPU is kept and
+        # the preemption deferred, exactly as a queued chunk would do.
+        def enter_kernel(k, proc):
+            proc.in_kernel += 1
+
+        k = make_kernel(quantum=1000)
+        seen = self.burn_in(k, 999, setup=enter_kernel, others=1)
+        assert seen["burned"] is True
+        assert seen["after"][7] is True  # preempt_pending
+        k = make_kernel(quantum=1000, kernel_preemption=True)
+        self.assert_refused(self.burn_in(k, 999, setup=enter_kernel,
+                                         others=1))
+
+    def test_refuses_a_process_that_is_not_stepping(self):
+        k = make_kernel(num_cpus=2)
+        seen = self.burn_in(k, 10, target=lambda k, proc: k.processes[1],
+                            others=1)
+        assert seen["burned"] is False
+        k = make_kernel()
+        proc = k.spawn(lambda p: iter(()), "idle")
+        assert k.burn(proc, 10) is False
+        assert proc.cpu_time == 0 and k.engine.events_processed == 0
+
+    def test_accounts_like_a_queued_chunk(self):
+        def run(engine_cls):
+            k = make_kernel(engine=engine_cls(), quantum=600)
+            outcomes = []
+
+            def body(proc):
+                for cycles, in_kernel in ((300, 1), (200, 0), (100, 1),
+                                          (450, 0)):
+                    proc.in_kernel += in_kernel
+                    burned = k.burn(proc, cycles)
+                    outcomes.append(burned)
+                    if not burned:
+                        yield CpuBurst(cycles)
+                    proc.in_kernel -= in_kernel
+
+            procs = [k.spawn(body, "a"), k.spawn(body, "b")]
+            k.run_until_done(procs)
+            return kernel_state(k), outcomes
+
+        reference, refused = run(HeapOnlyEngine)
+        inline, outcomes = run(Engine)
+        assert inline == reference
+        # "a" runs first: its first burst waits behind the dispatch
+        # event still queued for "b".  The third burst of each ends its
+        # quantum in kernel mode with the other waiting, and the fourth
+        # then takes the deferred preemption.
+        assert outcomes == [False, True, True, False, True, True, True,
+                            False]
+        assert not any(refused)
+        for proc in inline["processes"]:
+            assert proc[3:5] == (400, 650)   # sys_time, user_time
+            assert proc[6] == 1              # preemptions
+        assert inline["cpus"][0][0] == 2 * 1050
+
+    def test_empty_burst_is_done_without_an_event(self):
+        k = make_kernel()
+        seen = self.burn_in(k, 0)
+        assert seen["burned"] is True
+        assert seen["after"] == seen["before"]
+        k = make_kernel()
+        proc = k.spawn(lambda p: iter(()), "idle")
+        assert k.burn(proc, 0.0) is True
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_cycles_raise(self, bad):
+        k = make_kernel()
+        proc = k.spawn(lambda p: iter(()), "idle")
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            k.burn(proc, bad)
