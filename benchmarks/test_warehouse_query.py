@@ -10,7 +10,7 @@ runners time too noisily to gate on).
 
 Full ``compact()`` wall time is recorded too, but not gated: it is
 dominated by the durable write path (encode + atomic rename per
-output, then one journal append per planning round), which the merge
+output, then one journal append per ``compact()``), which the merge
 engine does not speed up.
 """
 

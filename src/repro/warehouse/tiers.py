@@ -9,6 +9,13 @@ cover ``fanout**t`` base epochs; each tier keeps its most recent
 next tier's aligned window (:func:`plan_compactions`) or — at the top
 tier — evicted by retention (:func:`plan_gc`).
 
+:func:`plan_compactions` is one promotion round.  A long-idle source
+needs several (tier-0 -> 1 outputs that are themselves aged continue to
+tier 2), so :func:`plan_fixpoint` plays the rounds forward on metadata
+alone and returns only the super-segments that survive the cascade,
+each with the stored segments it covers as inputs: the warehouse writes
+those and nothing in between.
+
 Compaction is pure :meth:`ProfileSet.merged` over the group, sorted by
 ``(epoch, seg_id)``: histogram addition is commutative and associative,
 so a query over compacted history is byte-identical to the same query
@@ -24,7 +31,11 @@ from typing import Dict, List, Optional, Tuple
 from .index import SegmentMeta, WarehouseIndex
 
 __all__ = ["CompactionPolicy", "CompactionGroup", "plan_compactions",
-           "plan_gc"]
+           "plan_fixpoint", "plan_gc"]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,12 +55,15 @@ class CompactionPolicy:
     keep: Tuple[int, ...] = (8, 8, 8)
 
     def __post_init__(self):
-        if self.fanout < 2:
-            raise ValueError("fanout must be >= 2")
+        if not _is_int(self.fanout) or self.fanout < 2:
+            raise ValueError("fanout must be an int >= 2")
         if not self.keep:
             raise ValueError("keep must name at least one tier")
-        if any(k < 1 for k in self.keep):
-            raise ValueError("every keep[t] must be >= 1")
+        keep = tuple(self.keep)
+        if not all(_is_int(k) and k >= 1 for k in keep):
+            raise ValueError("every keep[t] must be an int >= 1")
+        # A list would make the frozen policy unhashable.
+        object.__setattr__(self, "keep", keep)
 
     @property
     def tiers(self) -> int:
@@ -129,3 +143,67 @@ def plan_gc(index: WarehouseIndex, source: str,
     return [meta for meta in index.select(source)
             if meta.tier == top
             and policy.aged(top, meta.epoch_end, horizon)]
+
+
+class _PlanView:
+    """The live latency metas of one source, for planning on metadata.
+
+    Provides the one index method :func:`plan_compactions` reads when
+    it is given an explicit horizon.
+    """
+
+    def __init__(self, metas: List[SegmentMeta]):
+        self.live = {meta.seg_id: meta for meta in metas}
+
+    def select(self, source: str) -> List[SegmentMeta]:
+        return sorted(self.live.values(), key=lambda m: (m.epoch, m.seg_id))
+
+
+def plan_fixpoint(index: WarehouseIndex, source: str,
+                  policy: CompactionPolicy) -> List[CompactionGroup]:
+    """Plan every promotion round for *source* at once, on metadata.
+
+    Runs :func:`plan_compactions` until it plans nothing, replacing each
+    round's group inputs with a placeholder for its output, exactly as
+    committing the round would change the index.  Returns one group per
+    placeholder still live at the fixpoint, in the order the rounds
+    created them; its inputs are the stored segments it covers, sorted
+    by ``(epoch, seg_id)``.  Exact merges make one merge over those
+    leaves byte-identical to the chain of per-round merges.
+
+    The horizon starts at ``index.max_epoch`` (which counts sample
+    segments too) and rises to every round's newest output end, which
+    is what the stored index would report after the round committed.
+    """
+    horizon = index.max_epoch(source)
+    if horizon is None:
+        return []
+    view = _PlanView(index.select(source))
+    #: placeholder id -> (the group it stands for, its leaf inputs)
+    planned: Dict[int, Tuple[CompactionGroup, List[SegmentMeta]]] = {}
+    next_id = index.next_id
+    while True:
+        groups = plan_compactions(view, source, policy, horizon=horizon)
+        if not groups:
+            break
+        for group in groups:
+            leaves: List[SegmentMeta] = []
+            for meta in group.inputs:
+                del view.live[meta.seg_id]
+                if meta.seg_id in planned:
+                    leaves.extend(planned.pop(meta.seg_id)[1])
+                else:
+                    leaves.append(meta)
+            placeholder = SegmentMeta(
+                seg_id=next_id, source=source, tier=group.tier,
+                epoch=group.epoch, span=policy.span(group.tier), file="",
+                nbytes=0, ops=())
+            next_id += 1
+            view.live[placeholder.seg_id] = placeholder
+            planned[placeholder.seg_id] = (group, leaves)
+            horizon = max(horizon, placeholder.epoch_end)
+    return [CompactionGroup(
+                source=source, tier=group.tier, epoch=group.epoch,
+                inputs=tuple(sorted(leaves,
+                                    key=lambda m: (m.epoch, m.seg_id))))
+            for group, leaves in planned.values()]

@@ -37,7 +37,7 @@ from ..sampling.stateprofile import StateProfile
 from .columnar import ColumnarSegment, merged_profile_set
 from .index import SegmentMeta, WarehouseIndex
 from .log import SegmentLog
-from .tiers import CompactionGroup, CompactionPolicy, plan_compactions, \
+from .tiers import CompactionGroup, CompactionPolicy, plan_fixpoint, \
     plan_gc
 
 __all__ = ["ScrubReport", "Warehouse", "WarehouseError"]
@@ -463,26 +463,23 @@ class Warehouse:
     def compact(self, source: Optional[str] = None) -> List[SegmentMeta]:
         """Promote aged segments into coarser tiers; never drops data.
 
-        Runs planning rounds until a fixpoint, so a long-idle warehouse
-        catches up in one call (tier-0 -> 1 outputs that are themselves
-        aged immediately continue to tier 2).  Each round commits like
-        :meth:`ingest_many`: every super-segment file lands first, then
-        the round's records are journaled with one append, so a crash
-        mid-round commits a prefix of the records and leaves the rest
-        as orphan files for :meth:`gc`.  Returns the new super-segment
-        metas.
+        Plans the whole tier cascade on metadata (:func:`plan_fixpoint`),
+        so a long-idle warehouse catches up in one call, and writes only
+        the super-segments that survive it: each is merged straight from
+        the stored segments it covers, never through an intermediate
+        tier.  The call commits like :meth:`ingest_many`: every
+        super-segment file lands first, then all their records are
+        journaled with one append, so a crash before the append commits
+        nothing and leaves the files as orphans for :meth:`gc`.  Returns
+        the new super-segment metas.
         """
-        created: List[SegmentMeta] = []
         with self._lock:
             sources = [source] if source is not None \
                 else self.index.sources()
-            for src in sources:
-                while True:
-                    groups = plan_compactions(self.index, src, self.policy)
-                    if not groups:
-                        break
-                    created.extend(self._compact_round(groups))
-        return created
+            groups = [group for src in sources
+                      for group in plan_fixpoint(self.index, src,
+                                                 self.policy)]
+            return self._compact_round(groups) if groups else []
 
     def _compact_round(self, groups: List[CompactionGroup]
                        ) -> List[SegmentMeta]:

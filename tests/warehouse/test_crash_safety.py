@@ -22,8 +22,7 @@ from repro.core.crashfs import CrashFS
 from repro.core.faults import FaultPlan, FaultPoint, InjectedFault
 from repro.core.profileset import ProfileSet
 from repro.warehouse import CompactionPolicy, Warehouse
-from repro.warehouse import warehouse as warehouse_module
-from repro.warehouse.tiers import plan_compactions
+from repro.warehouse.tiers import plan_fixpoint
 
 SEED = int(os.environ.get("OSPROF_FAULT_SEED", "2006"))
 
@@ -125,38 +124,46 @@ class TestCrashMidCompaction:
         assert reopened.query("web").to_bytes() == expected.to_bytes()
 
     def test_crash_after_log_supersedes_inputs_exactly_once(self, tmp_path):
+        clean = fill(tmp_path / "clean", 12)
+        clean.compact()
+        clean.gc()
+
         expected = ProfileSet.merged([pset(e) for e in range(12)])
-        groups = plan_compactions(fill(tmp_path, 12).index, "web", SMALL)
-        assert len(groups) == 5
-        # A round fires after-file once per group, then after-log once:
-        # attempt len(groups) is the first round's after-log.
-        armed = Warehouse(tmp_path, policy=SMALL, fault_plan=plan(
+        crashy = tmp_path / "crashy"
+        groups = plan_fixpoint(fill(crashy, 12).index, "web", SMALL)
+        assert len(groups) == 3
+        # compact() fires after-file once per group, then after-log
+        # once: attempt len(groups) is its one after-log.
+        armed = Warehouse(crashy, policy=SMALL, fault_plan=plan(
             FaultPoint("warehouse.compact", "crash", key="after-log",
                        attempts=(len(groups),))))
         with pytest.raises(InjectedFault):
             armed.compact()
 
-        reopened = Warehouse(tmp_path, policy=SMALL)
-        # The round committed; its inputs are superseded (not
-        # double-counted) even though their files were never unlinked.
+        reopened = Warehouse(crashy, policy=SMALL)
+        # The commit landed; every leaf is superseded exactly once (not
+        # double-counted) even though no input file was unlinked.
         assert reopened.compactions_total == len(groups)
         inputs = [seg_id for record in reopened.log.replay()
                   for seg_id in record["inputs"]]
+        assert sorted(inputs) == list(range(1, 11))
         assert sorted(inputs) == sorted(
             m.seg_id for group in groups for m in group.inputs)
         assert not set(inputs) & {m.seg_id for m in reopened.segments()}
         assert reopened.query("web").to_bytes() == expected.to_bytes()
 
-        # Finishing the job from the clean state converges to the same
-        # bytes as a never-crashed history, and the never-unlinked input
-        # files (declared dead by the replayed log) get swept.
-        reopened.compact()
+        # The job is done: compacting again plans nothing, and gc
+        # sweeps the never-unlinked input files (declared dead by the
+        # replayed log) into the clean run's tree, journal included.
+        assert reopened.compact() == []
         assert reopened.query("web").to_bytes() == expected.to_bytes()
-        on_disk = {p.relative_to(tmp_path).as_posix()
-                   for p in (tmp_path / "segments").rglob("*.ospb")}
+        reopened.gc()
+        on_disk = {p.relative_to(crashy).as_posix()
+                   for p in (crashy / "segments").rglob("*.ospb")}
         assert on_disk == reopened.index.live_files()
+        assert tree(crashy) == tree(tmp_path / "clean")
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2])
     def test_crash_inside_a_round_commits_nothing(self, tmp_path, k):
         clean = fill(tmp_path / "clean", 12)
         clean.compact()
@@ -167,6 +174,8 @@ class TestCrashMidCompaction:
         armed = fill(crashy, 12, plan(
             FaultPoint("warehouse.compact", "crash", key="after-file",
                        attempts=(k,))))
+        # k covers every after-file attempt of the one round.
+        assert len(plan_fixpoint(armed.index, "web", SMALL)) == 3
         with pytest.raises(InjectedFault):
             armed.compact()
 
@@ -183,32 +192,26 @@ class TestCrashMidCompaction:
         reopened.gc()
         assert tree(crashy) == tree(tmp_path / "clean")
 
-    def test_one_journal_append_per_round(self, tmp_path, monkeypatch):
+    def test_one_journal_append_per_round(self, tmp_path):
         wh = fill(tmp_path, 12)
-        rounds = []
-
-        def recording_plan(*args, **kwargs):
-            groups = plan_compactions(*args, **kwargs)
-            if groups:
-                rounds.append(groups)
-            return groups
-
-        monkeypatch.setattr(warehouse_module, "plan_compactions",
-                            recording_plan)
+        # The whole cascade is one round: tier-0 pairs 1..8 go straight
+        # to tier 2, and only 9, 10 stop at tier 1.
+        groups = plan_fixpoint(wh.index, "web", SMALL)
+        assert [(g.tier, g.epoch, [m.seg_id for m in g.inputs])
+                for g in groups] == [(1, 8, [9, 10]),
+                                     (2, 0, [1, 2, 3, 4]),
+                                     (2, 4, [5, 6, 7, 8])]
         committed = len(wh.log.replay())
         fs = CrashFS(tmp_path)
         with durable.recording(fs):
-            wh.compact()
+            created = wh.compact()
         appends = [op for op in fs.ops
                    if op.kind == "append" and op.path == "wal.log"]
-        assert [len(groups) for groups in rounds] == [5, 2]
-        assert [op.data.count(b"\n") for op in appends] \
-            == [len(groups) for groups in rounds]
+        assert [op.data.count(b"\n") for op in appends] == [len(groups)]
         records = wh.log.replay()[committed:]
-        planned = [[m.seg_id for m in group.inputs]
-                   for groups in rounds for group in groups]
         assert [(r["id"], r["inputs"]) for r in records] \
-            == [(13 + i, inputs) for i, inputs in enumerate(planned)]
+            == [(13, [9, 10]), (14, [1, 2, 3, 4]), (15, [5, 6, 7, 8])]
+        assert [m.seg_id for m in created] == [13, 14, 15]
 
     def test_crashed_compaction_retried_matches_clean_run(self, tmp_path):
         clean = fill(tmp_path / "clean", 12)

@@ -30,6 +30,20 @@ class TestPolicy:
             CompactionPolicy(keep=())
         with pytest.raises(ValueError):
             CompactionPolicy(keep=(4, 0))
+        # Tier geometry is whole counts: a float fanout would reach
+        # segment file names, and a bool is not a count.
+        for fanout in (2.0, 2.5, float("inf"), True):
+            with pytest.raises(ValueError, match="fanout"):
+                CompactionPolicy(fanout=fanout)
+        for keep in ((2.5,), (float("nan"),), (True, 2), (8, 8.0)):
+            with pytest.raises(ValueError, match="keep"):
+                CompactionPolicy(keep=keep)
+
+    def test_keep_is_stored_as_a_tuple(self):
+        policy = CompactionPolicy(fanout=2, keep=[8, 8])
+        assert policy.keep == (8, 8)
+        assert hash(policy) == hash(CompactionPolicy(fanout=2,
+                                                     keep=(8, 8)))
 
     def test_span_and_windows(self):
         policy = CompactionPolicy(fanout=4, keep=(8, 8, 8))
