@@ -37,7 +37,9 @@ to identical bytes, and decode→encode round-trips are byte-identical.
 
 :func:`parse_binary` is the only decoder of this format: precompiled
 ``struct.Struct`` reads at offsets, one bulk read per operation's bucket
-pairs, and every check of docs/FORMATS.md in its order.
+pairs, and every check of docs/FORMATS.md in its order.  The framing
+helpers it uses (:func:`seal`, :func:`unseal`, :func:`read_str`, ...)
+are shared with the ``OSPROFS1`` wait-state codec, framed the same way.
 :meth:`ProfileSet.fold_rows` turns the rows it returns into histograms
 (:meth:`ProfileSet.from_bytes` is a new set plus that fold), and the
 warehouse's ``ColumnarSegment.from_bytes`` is a thin loop over them.
@@ -60,14 +62,17 @@ _HEADER_PREFIX = "# osprof 1"
 #: Magic prefix of the binary profile codec (version 1).
 _BINARY_MAGIC = b"OSPROFB1"
 
+#: What errors call this format.
+_LABEL = "binary profile"
 
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
+U16 = struct.Struct("<H")
+U32 = struct.Struct("<I")
+U64 = struct.Struct("<Q")
+F64 = struct.Struct("<d")
 _QD = struct.Struct("<Qd")
-_F64 = struct.Struct("<d")
 
-#: Bytes before the payload; truncation offsets count from its start.
-_START = len(_BINARY_MAGIC)
+#: Bytes before the payload (the magic); error offsets count from here.
+START = 8
 
 #: No valid op carries more pairs than there are distinct buckets.
 MAX_PAIRS = MAX_BUCKET + 1
@@ -85,20 +90,86 @@ Row = Tuple[str, str, int, float, Optional[float], Optional[float],
             Tuple[int, ...], Tuple[int, ...]]
 
 
-def _truncated(wanted: int, pos: int, end: int) -> ValueError:
+# -- the framing OSPROFB1 shares with OSPROFS1: magic, payload, CRC-32 of
+# the payload.  *label* names the format in errors, on the error path only.
+
+def truncated(label: str, wanted: int, pos: int, end: int) -> ValueError:
     return ValueError(
-        f"truncated binary profile: wanted {wanted} bytes at offset "
-        f"{pos - _START}, only {end - pos} left")
+        f"truncated {label}: wanted {wanted} bytes at offset "
+        f"{pos - START}, only {end - pos} left")
 
 
-def _read_str(data: bytes, pos: int, end: int) -> Tuple[str, int]:
+def read_str(data: bytes, pos: int, end: int,
+             label: str) -> Tuple[str, int]:
     if pos + 2 > end:
-        raise _truncated(2, pos, end)
-    (n,) = _U16.unpack_from(data, pos)
+        raise truncated(label, 2, pos, end)
+    (n,) = U16.unpack_from(data, pos)
     pos += 2
     if pos + n > end:
-        raise _truncated(n, pos, end)
+        raise truncated(label, n, pos, end)
     return data[pos:pos + n].decode("utf-8"), pos + n
+
+
+def read_attributes(data: bytes, pos: int, end: int,
+                    label: str) -> Tuple[Dict[str, str], int]:
+    """A u16 count of ``(str key, str value)`` pairs, keys unique."""
+    if pos + 2 > end:
+        raise truncated(label, 2, pos, end)
+    (n,) = U16.unpack_from(data, pos)
+    pos += 2
+    attributes: Dict[str, str] = {}
+    for _ in range(n):
+        key, pos = read_str(data, pos, end, label)
+        if key in attributes:
+            raise ValueError(f"duplicate attribute {key!r}")
+        attributes[key], pos = read_str(data, pos, end, label)
+    return attributes, pos
+
+
+def pack_str(out: List[bytes], text: str, label: str) -> None:
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise ValueError(f"string too long for {label}: {text[:40]!r}...")
+    out.append(U16.pack(len(raw)))
+    out.append(raw)
+
+
+def pack_attributes(out: List[bytes], attributes: Dict[str, str],
+                    label: str) -> None:
+    out.append(U16.pack(len(attributes)))
+    for key, value in sorted(attributes.items()):
+        pack_str(out, key, label)
+        pack_str(out, value, label)
+
+
+def seal(magic: bytes, parts: List[bytes]) -> bytes:
+    payload = b"".join(parts)
+    return magic + payload + U32.pack(zlib.crc32(payload))
+
+
+def unseal(data, magic: bytes, label: str,
+           what: str) -> Tuple[bytes, int, int]:
+    """Check the frame: ``(data as bytes, crc, end)``, payload at START.
+
+    Rejects non-bytes input, a magic other than *magic* ("not a
+    *what*"), a missing trailer, and a CRC mismatch.
+    """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValueError(f"{label} must be a bytes-like object")
+    data = bytes(data)
+    if not data.startswith(magic):
+        raise ValueError(f"not a {what}: magic {data[:8]!r}")
+    end = len(data) - 4
+    if end < START:
+        raise ValueError(f"truncated {label}: missing trailer")
+    (crc,) = U32.unpack_from(data, end)
+    with memoryview(data) as view:
+        actual = zlib.crc32(view[START:end])
+    if crc != actual:
+        raise ValueError(
+            f"{label} CRC mismatch: trailer says {crc:#010x}, payload "
+            f"hashes to {actual:#010x}")
+    return data, crc, end
 
 
 def _read_pairs(data: bytes, pos: int, end: int, n: int,
@@ -126,7 +197,7 @@ def _read_pairs(data: bytes, pos: int, end: int, n: int,
                     f"duplicate bucket {bucket} in op {operation!r}")
             seen.add(bucket)
     if whole < n:
-        raise _truncated(10, pos + 10 * whole, end)
+        raise truncated(_LABEL, 10, pos + 10 * whole, end)
     if not ascending:
         ids, cnts = zip(*sorted(zip(ids, cnts)))
     return ids, cnts
@@ -143,30 +214,16 @@ def parse_binary(data) -> Tuple[int, BucketSpec, str, Dict[str, str],
 
     Checks run in the order docs/FORMATS.md gives, and any failure
     raises :class:`ValueError`: the magic, the CRC-32 trailer, then per
-    field truncation, the resolution, the pair count, duplicate buckets
-    and operations, bucket ranges, counts summing to ``total_ops``, and
-    trailing bytes.  Zero counts are accepted and dropped.
+    field truncation, the resolution, duplicate attributes, the pair
+    count, duplicate buckets and operations, bucket ranges, counts
+    summing to ``total_ops``, and trailing bytes.  Zero counts are
+    accepted and dropped.
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise ValueError("binary profile must be a bytes-like object")
-    data = bytes(data)
-    if not data.startswith(_BINARY_MAGIC):
-        raise ValueError(
-            f"not a binary osprof profile: magic {data[:8]!r}")
-    end = len(data) - 4
-    if end < _START:
-        raise ValueError("truncated binary profile: missing trailer")
-    (crc,) = _U32.unpack_from(data, end)
-    with memoryview(data) as view:
-        actual_crc = zlib.crc32(view[_START:end]) & 0xFFFFFFFF
-    if crc != actual_crc:
-        raise ValueError(
-            f"binary profile CRC mismatch: trailer says "
-            f"{crc:#010x}, payload hashes to {actual_crc:#010x}")
-
-    pos = _START
+    data, crc, end = unseal(data, _BINARY_MAGIC, _LABEL,
+                            "binary osprof profile")
+    pos = START
     if pos + 1 > end:
-        raise _truncated(1, pos, end)
+        raise truncated(_LABEL, 1, pos, end)
     resolution = data[pos]
     pos += 1
     spec = _SPECS.get(resolution)
@@ -175,47 +232,40 @@ def parse_binary(data) -> Tuple[int, BucketSpec, str, Dict[str, str],
             spec = _SPECS[resolution] = BucketSpec(resolution)
         except ValueError as exc:
             raise ValueError(f"bad binary profile header: {exc}") from None
-    name, pos = _read_str(data, pos, end)
-    if pos + 2 > end:
-        raise _truncated(2, pos, end)
-    (nattrs,) = _U16.unpack_from(data, pos)
-    pos += 2
-    attributes: Dict[str, str] = {}
-    for _ in range(nattrs):
-        key, pos = _read_str(data, pos, end)
-        attributes[key], pos = _read_str(data, pos, end)
+    name, pos = read_str(data, pos, end, _LABEL)
+    attributes, pos = read_attributes(data, pos, end, _LABEL)
     if pos + 4 > end:
-        raise _truncated(4, pos, end)
-    (nprofiles,) = _U32.unpack_from(data, pos)
+        raise truncated(_LABEL, 4, pos, end)
+    (nprofiles,) = U32.unpack_from(data, pos)
     pos += 4
 
     rows: List[Row] = []
     seen = set()
     for _ in range(nprofiles):
-        operation, pos = _read_str(data, pos, end)
-        layer, pos = _read_str(data, pos, end)
+        operation, pos = read_str(data, pos, end, _LABEL)
+        layer, pos = read_str(data, pos, end, _LABEL)
         if pos + 16 > end:
-            raise _truncated(16, pos, end)
+            raise truncated(_LABEL, 16, pos, end)
         total_ops, total_latency = _QD.unpack_from(data, pos)
         pos += 16
         if pos + 1 > end:
-            raise _truncated(1, pos, end)
+            raise truncated(_LABEL, 1, pos, end)
         flags = data[pos]
         pos += 1
         min_latency = max_latency = None
         if flags & 1:
             if pos + 8 > end:
-                raise _truncated(8, pos, end)
-            (min_latency,) = _F64.unpack_from(data, pos)
+                raise truncated(_LABEL, 8, pos, end)
+            (min_latency,) = F64.unpack_from(data, pos)
             pos += 8
         if flags & 2:
             if pos + 8 > end:
-                raise _truncated(8, pos, end)
-            (max_latency,) = _F64.unpack_from(data, pos)
+                raise truncated(_LABEL, 8, pos, end)
+            (max_latency,) = F64.unpack_from(data, pos)
             pos += 8
         if pos + 4 > end:
-            raise _truncated(4, pos, end)
-        (npairs,) = _U32.unpack_from(data, pos)
+            raise truncated(_LABEL, 4, pos, end)
+        (npairs,) = U32.unpack_from(data, pos)
         pos += 4
         if npairs > MAX_PAIRS:
             raise ValueError(
@@ -246,14 +296,6 @@ def parse_binary(data) -> Tuple[int, BucketSpec, str, Dict[str, str],
         raise ValueError(
             f"{end - pos} trailing bytes after the last profile")
     return crc, spec, name, attributes, rows
-
-
-def _pack_str(out: List[bytes], text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError(f"string too long for binary profile: {text[:40]!r}...")
-    out.append(struct.pack("<H", len(raw)))
-    out.append(raw)
 
 
 class ProfileSet:
@@ -560,36 +602,28 @@ class ProfileSet:
         merged-shard profile can be compared byte-for-byte against its
         serial counterpart.
         """
-        out: List[bytes] = []
-        out.append(struct.pack("<B", self.spec.resolution))
-        _pack_str(out, self.name)
-        attrs = sorted(self.attributes.items())
-        out.append(struct.pack("<H", len(attrs)))
-        for key, value in attrs:
-            _pack_str(out, key)
-            _pack_str(out, value)
-        out.append(struct.pack("<I", len(self._profiles)))
+        out: List[bytes] = [struct.pack("<B", self.spec.resolution)]
+        pack_str(out, self.name, _LABEL)
+        pack_attributes(out, self.attributes, _LABEL)
+        out.append(U32.pack(len(self._profiles)))
         for op in self.operations():
             prof = self._profiles[op]
             hist = prof.histogram
-            _pack_str(out, prof.operation)
-            _pack_str(out, prof.layer)
-            out.append(struct.pack("<Qd", hist.total_ops,
-                                   hist.total_latency))
+            pack_str(out, prof.operation, _LABEL)
+            pack_str(out, prof.layer, _LABEL)
+            out.append(_QD.pack(hist.total_ops, hist.total_latency))
             flags = ((1 if hist.min_latency is not None else 0)
                      | (2 if hist.max_latency is not None else 0))
             out.append(struct.pack("<B", flags))
             if hist.min_latency is not None:
-                out.append(struct.pack("<d", hist.min_latency))
+                out.append(F64.pack(hist.min_latency))
             if hist.max_latency is not None:
-                out.append(struct.pack("<d", hist.max_latency))
+                out.append(F64.pack(hist.max_latency))
             counts = hist.counts()
-            out.append(struct.pack("<I", len(counts)))
+            out.append(U32.pack(len(counts)))
             for bucket in sorted(counts):
                 out.append(struct.pack("<HQ", bucket, counts[bucket]))
-        payload = b"".join(out)
-        return (_BINARY_MAGIC + payload
-                + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        return seal(_BINARY_MAGIC, out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProfileSet":

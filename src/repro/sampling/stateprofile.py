@@ -16,7 +16,8 @@ Binary format (``to_bytes``/``from_bytes``)::
     cell     str state, str layer, str op, str wait_site, u64 count
     trailer  u32 crc32 of everything after the magic
 
-where ``str`` is ``u16 length + UTF-8 bytes``.  Cells and attributes
+where ``str`` is ``u16 length + UTF-8 bytes``: the framing of
+``OSPROFB1``, read and written by the same helpers.  Cells and attributes
 are written in sorted order, so encoding is canonical: equal profiles
 encode to identical bytes and decode→encode round-trips are
 byte-identical — the property the warehouse's checksummed segments and
@@ -27,48 +28,24 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from ..core.profileset import (START, U32, U64, pack_attributes, pack_str,
+                               read_attributes, read_str, seal, truncated,
+                               unseal)
 
 __all__ = ["StateProfile"]
 
 #: Magic prefix of the binary state-profile codec (version 1).
 _BINARY_MAGIC = b"OSPROFS1"
 
+#: What errors call this format.
+_LABEL = "state profile"
+
+_DQ = struct.Struct("<dQ")
+
 #: A sample cell key: (state, layer, op, wait_site).
 CellKey = Tuple[str, str, str, str]
-
-
-class _Reader:
-    """Bounds-checked cursor over a binary state-profile payload."""
-
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise ValueError(
-                f"truncated state profile: wanted {n} bytes at offset "
-                f"{self.offset}, only {len(self.data) - self.offset} left")
-        chunk = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: str) -> Tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def string(self) -> str:
-        (length,) = self.unpack("<H")
-        return self.take(length).decode("utf-8")
-
-
-def _pack_str(out: List[bytes], text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError(f"string too long for state profile: {text[:40]!r}...")
-    out.append(struct.pack("<H", len(raw)))
-    out.append(raw)
 
 
 class StateProfile:
@@ -199,76 +176,59 @@ class StateProfile:
         can pin a fixed-seed capture by digest.
         """
         out: List[bytes] = []
-        _pack_str(out, self.name)
-        out.append(struct.pack("<dQ", self.interval, self.intervals))
-        attrs = sorted(self.attributes.items())
-        out.append(struct.pack("<H", len(attrs)))
-        for key, value in attrs:
-            _pack_str(out, key)
-            _pack_str(out, value)
-        out.append(struct.pack("<I", len(self._counts)))
-        for (state, layer, op, site) in sorted(self._counts):
-            _pack_str(out, state)
-            _pack_str(out, layer)
-            _pack_str(out, op)
-            _pack_str(out, site)
-            out.append(struct.pack(
-                "<Q", self._counts[(state, layer, op, site)]))
-        payload = b"".join(out)
-        return (_BINARY_MAGIC + payload
-                + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        pack_str(out, self.name, _LABEL)
+        out.append(_DQ.pack(self.interval, self.intervals))
+        pack_attributes(out, self.attributes, _LABEL)
+        out.append(U32.pack(len(self._counts)))
+        for key in sorted(self._counts):
+            for text in key:
+                pack_str(out, text, _LABEL)
+            out.append(U64.pack(self._counts[key]))
+        return seal(_BINARY_MAGIC, out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StateProfile":
         """Decode :meth:`to_bytes` output, verifying the CRC-32 trailer.
 
         Raises :class:`ValueError` on a bad magic, a truncated payload,
-        a checksum mismatch, or any structurally invalid field.
+        a checksum mismatch, or any structurally invalid field; drops
+        zero-count cells, which :meth:`add` never keeps.
         """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise ValueError("binary state profile must be a bytes-like "
-                             "object")
-        data = bytes(data)
-        if not data.startswith(_BINARY_MAGIC):
-            raise ValueError(
-                f"not a binary state profile: magic {data[:8]!r}")
-        if len(data) < len(_BINARY_MAGIC) + 4:
-            raise ValueError("truncated state profile: missing trailer")
-        payload = data[len(_BINARY_MAGIC):-4]
-        (declared_crc,) = struct.unpack("<I", data[-4:])
-        actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
-        if declared_crc != actual_crc:
-            raise ValueError(
-                f"state profile CRC mismatch: trailer says "
-                f"{declared_crc:#010x}, payload hashes to {actual_crc:#010x}")
-        reader = _Reader(payload)
-        name = reader.string()
-        interval, intervals = reader.unpack("<dQ")
+        data, _crc, end = unseal(data, _BINARY_MAGIC, _LABEL,
+                                 "binary state profile")
+        name, pos = read_str(data, START, end, _LABEL)
+        if pos + 16 > end:
+            raise truncated(_LABEL, 16, pos, end)
+        interval, intervals = _DQ.unpack_from(data, pos)
+        pos += 16
         if not 0 <= interval < math.inf:
             raise ValueError(f"bad state profile: interval {interval} is "
                              f"not non-negative and finite")
-        (nattrs,) = reader.unpack("<H")
-        attributes = {}
-        for _ in range(nattrs):
-            key = reader.string()
-            attributes[key] = reader.string()
+        attributes, pos = read_attributes(data, pos, end, _LABEL)
         sprof = cls(name=name, interval=interval, attributes=attributes)
         sprof.intervals = intervals
-        (ncells,) = reader.unpack("<I")
+        if pos + 4 > end:
+            raise truncated(_LABEL, 4, pos, end)
+        (ncells,) = U32.unpack_from(data, pos)
+        pos += 4
+        counts = sprof._counts
         for _ in range(ncells):
-            state = reader.string()
-            layer = reader.string()
-            op = reader.string()
-            site = reader.string()
-            (count,) = reader.unpack("<Q")
+            state, pos = read_str(data, pos, end, _LABEL)
+            layer, pos = read_str(data, pos, end, _LABEL)
+            op, pos = read_str(data, pos, end, _LABEL)
+            site, pos = read_str(data, pos, end, _LABEL)
+            if pos + 8 > end:
+                raise truncated(_LABEL, 8, pos, end)
             key = (state, layer, op, site)
-            if key in sprof._counts:
+            if key in counts:
                 raise ValueError(f"duplicate cell {key!r}")
-            sprof._counts[key] = count
-        if reader.offset != len(payload):
+            (counts[key],) = U64.unpack_from(data, pos)
+            pos += 8
+        if pos != end:
             raise ValueError(
-                f"{len(payload) - reader.offset} trailing bytes after the "
-                f"last cell")
+                f"{end - pos} trailing bytes after the last cell")
+        if 0 in counts.values():
+            sprof._counts = {key: n for key, n in counts.items() if n}
         return sprof
 
     # -- file helpers --------------------------------------------------------

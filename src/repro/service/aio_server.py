@@ -8,22 +8,23 @@ incremental :class:`~repro.service.protocol.FrameParser` (header-only
 size guard, zero-copy ``memoryview`` payload slicing), and each frame
 is answered by a lookup in the service's sans-IO frame table
 (:data:`~repro.service.server.FRAME_HANDLERS`) — microseconds of
-histogram merging per push, so one loop absorbs the fleet.  The
-hardening semantics:
+histogram merging per push, so one loop absorbs the fleet.  It is the
+ingest gate of the root and of every relay alike, with these hardening
+semantics (knobs from the service's ``config``, counters its own):
 
 * per-connection **read timeouts** (a timer armed while parked on a
   read; an idle or wedged peer is dropped and counted),
 * the **max-frame guard** (judged from the 9 header bytes alone, the
   oversized payload is never buffered; the peer gets an ``ERROR``),
-* bounded-slot **RETRY_AFTER backpressure** through the service's own
-  ``try_acquire_ingest_slot`` gate, for the frames the table marks
-  ``gated``: a connection claims one slot per batch of replies, at its
-  first gated frame, and holds it until the batch is written,
+* bounded-slot **RETRY_AFTER backpressure** through ``ingest_slots``
+  (``max_pending`` of them), for the frames the table marks ``gated``:
+  a connection claims one slot per batch of replies, at its first
+  gated frame, and holds it until the batch is written,
 * **graceful drain** (stop accepting, wait for in-flight connections,
   cancel stragglers after a timeout and count them — an acked push is
   always already merged, because the ack is produced after the
   synchronous ingest),
-* the service's **metrics** page, plus transport gauges of its own.
+* the service's **metrics** page, plus the gate's and loop's own.
 
 Every complete frame already parsed is dispatched before the next
 ``read()`` is issued, and the replies of one read go out as one
@@ -104,15 +105,21 @@ class AsyncProfileServer:
         self._thread: Optional[threading.Thread] = None
         self._conn_tasks: set = set()
         self._startup_error: Optional[BaseException] = None
-        # Transport gauges (loop-thread only; read racily by metrics,
-        # which is fine for monotone counters).
+        #: The bounded ingest slots gated frames run under.
+        self.ingest_slots = threading.BoundedSemaphore(
+            self.service.config.max_pending)
+        # Transport counters and gauges (loop-thread only; read racily
+        # by metrics, which is fine for monotone counters).
+        self.backpressure_rejections = 0
+        self.frames_oversize = 0
+        self.read_timeouts = 0
         self.connections_total = 0
         self.max_parser_buffered = 0
         self.max_reply_buffered = 0
         #: Connections the last :meth:`drain` had to cancel.
         self.drain_cancelled = 0
-        #: The frames this transport answers: the service's table, with
-        #: METRICS answered by the page that adds the loop's gauges.
+        #: The frames this transport answers: the service's table, and
+        #: METRICS answered by the page that adds the transport's own.
         self.handlers: Dict[int, FrameHandler] = {
             **FRAME_HANDLERS, FrameType.METRICS: FrameHandler(self._metrics)}
 
@@ -252,9 +259,9 @@ class AsyncProfileServer:
 
     async def _connection_loop(self, reader: asyncio.StreamReader,
                                writer: asyncio.StreamWriter) -> None:
-        service = self.service
-        parser = FrameParser(max_payload=service.config.max_frame_bytes)
-        read_timeout = service.config.read_timeout
+        config = self.service.config
+        parser = FrameParser(max_payload=config.max_frame_bytes)
+        read_timeout = config.read_timeout
         loop = asyncio.get_running_loop()
         task = asyncio.current_task()
         batch = _Batch()
@@ -281,7 +288,7 @@ class AsyncProfileServer:
                     # Reject from the header alone; tell the peer why,
                     # then drop the stream (its payload bytes would
                     # desync us).
-                    service.note_oversize_frame()
+                    self.frames_oversize += 1
                     batch.add(FrameType.ERROR, str(exc).encode("utf-8"))
                     await self._write_batch(writer, batch)
                     return
@@ -313,7 +320,7 @@ class AsyncProfileServer:
                     chunk = await reader.read(READ_CHUNK)
                 except asyncio.CancelledError:
                     if timed_out[0]:
-                        service.note_read_timeout()
+                        self.read_timeouts += 1
                         return  # idle or wedged peer: reclaim the slot
                     raise  # a real cancellation (drain/close), not ours
                 except OSError:
@@ -353,7 +360,7 @@ class AsyncProfileServer:
     def _release_slot(self, batch: _Batch) -> None:
         if batch.slot:
             batch.slot = False
-            self.service.release_ingest_slot()
+            self.ingest_slots.release()
 
     # -- dispatch ----------------------------------------------------------
 
@@ -365,25 +372,28 @@ class AsyncProfileServer:
                       f"unsupported frame type "
                       f"{FrameType.name(ftype)}".encode("utf-8"))
             return
-        service = self.service
         if handler.gated and not batch.slot:
             # One slot per batch, claimed by its first gated frame and
             # given back once the batch is written.
-            batch.slot = service.try_acquire_ingest_slot()
+            batch.slot = self.ingest_slots.acquire(blocking=False)
             if not batch.slot:
-                service.note_backpressure()
+                self.backpressure_rejections += 1
                 batch.add(FrameType.RETRY_AFTER, encode_retry_after(
-                    service.config.retry_after_seconds))
+                    self.service.config.retry_after_seconds))
                 return
-        batch.add(*handler.handle(service, payload))
+        batch.add(*handler.handle(self.service, payload))
 
     def _metrics(self, service, payload: bytes) -> Reply:
         service.tick()
         return FrameType.TEXT, self.metrics_text().encode("utf-8")
 
     def metrics_text(self) -> str:
-        """The service page plus the event-loop transport's own gauges."""
+        """The service page plus the gate's counters and loop gauges."""
         return (self.service.metrics_text()
+                + f"osprof_backpressure_total "
+                  f"{self.backpressure_rejections}\n"
+                + f"osprof_frames_oversize_total {self.frames_oversize}\n"
+                + f"osprof_read_timeouts_total {self.read_timeouts}\n"
                 + f"osprof_aio_connections_active "
                   f"{self.active_connections}\n"
                 + f"osprof_aio_connections_total {self.connections_total}\n"

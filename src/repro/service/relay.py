@@ -118,11 +118,12 @@ class RelayState:
 class RelayService:
     """Accept, dedup, spool, merge, forward — the relay's brain.
 
-    Transport-agnostic like :class:`~repro.service.server.ProfileService`
-    (and presenting the same hardening surface: ``config``, ingest
-    slots, degradation counters), so :class:`RelayServer` can serve it
-    over the same event loop.  ``upstream`` is ``(host, port)``;
-    ``batch`` caps how many spooled entries one upstream push carries.
+    Transport-agnostic like :class:`~repro.service.server.ProfileService`:
+    :class:`RelayServer` serves it over the same event loop, which
+    applies the hardening knobs of ``config`` (ingest slots, frame
+    guard, read timeouts) and counts their use itself.  ``upstream`` is
+    ``(host, port)``; ``batch`` caps how many spooled entries one
+    upstream push carries.
 
     ``fault_plan`` arms the leaf→root hop's ``client.connect`` /
     ``client.send`` / ``client.recv`` fault sites — the forwarding
@@ -169,10 +170,6 @@ class RelayService:
         self.ledger = PushLedger()
         self.ledger.update_from(self.state.ledger)
         self._rebuild_from_spool()
-        if self.config.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self._ingest_slots = threading.BoundedSemaphore(
-            self.config.max_pending)
         # Counters (guarded by _lock).
         self.accepted = 0
         self.accepted_bytes = 0
@@ -182,9 +179,6 @@ class RelayService:
         self.forwarded_entries = 0
         self.forwarded_batches = 0
         self.forward_errors = 0
-        self.backpressure_rejections = 0
-        self.frames_oversize = 0
-        self.read_timeouts = 0
 
     @property
     def relay_id(self) -> str:
@@ -262,26 +256,6 @@ class RelayService:
                 self.rejected += 1
             raise
         return sum(row[2] for row in rows), len(rows)
-
-    # -- self-defence accounting (same surface as ProfileService) -----------
-
-    def try_acquire_ingest_slot(self) -> bool:
-        return self._ingest_slots.acquire(blocking=False)
-
-    def release_ingest_slot(self) -> None:
-        self._ingest_slots.release()
-
-    def note_backpressure(self) -> None:
-        with self._lock:
-            self.backpressure_rejections += 1
-
-    def note_oversize_frame(self) -> None:
-        with self._lock:
-            self.frames_oversize += 1
-
-    def note_read_timeout(self) -> None:
-        with self._lock:
-            self.read_timeouts += 1
 
     # -- forwarding ----------------------------------------------------------
 
@@ -431,9 +405,6 @@ class RelayService:
                 f"osprof_spool_corrupt_total {self.spool.corrupted}",
                 f"osprof_relay_upstream_seq {self.state.up_seq}",
                 f"osprof_relay_clients {len(self.ledger)}",
-                f"osprof_backpressure_total {self.backpressure_rejections}",
-                f"osprof_frames_oversize_total {self.frames_oversize}",
-                f"osprof_read_timeouts_total {self.read_timeouts}",
             ]
             return "\n".join(lines) + "\n"
 

@@ -6,20 +6,22 @@ the :class:`~repro.service.alerts.DifferentialAlerter`.  All shared
 state is guarded by a single lock, which is ample because a profile
 merge is microseconds of histogram addition.
 
-:data:`FRAME_HANDLERS` is the service's whole request surface as one
-sans-IO table: each :mod:`repro.service.protocol` frame type maps to a
-handler from ``(service, payload)`` to ``(reply type, reply payload)``,
-and marks whether it runs under the bounded ingest slot.  The event-loop
-transport (:mod:`repro.service.aio_server`) serves the table, and the
-relay (:mod:`repro.service.relay`) serves it with its own push handlers.
+:data:`FRAME_HANDLERS` is the service's request surface as one sans-IO
+table: each :mod:`repro.service.protocol` frame type maps to a handler
+from ``(service, payload)`` to ``(reply type, reply payload)``, and
+marks whether it runs under the bounded ingest slot.  The event-loop
+transport (:mod:`repro.service.aio_server`) serves the table, owns the
+ingest gate and answers ``METRICS``; the relay
+(:mod:`repro.service.relay`) serves it with its own push handlers.
 
-The service is itself observable: the ``METRICS`` request returns a
-plaintext page (Prometheus exposition style) of segment counts, ingest
-totals and latencies, and per-operation alert counters.
+The service is itself observable: :meth:`ProfileService.metrics_text`
+is a plaintext page (Prometheus exposition style) of segment counts,
+ingest totals and latencies, and per-operation alert counters.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -46,11 +48,12 @@ class ServiceConfig:
     ``segment_seconds`` and ``retention`` shape the rolling store;
     ``baseline_segments``/``metric``/``threshold``/``min_ops`` shape the
     online differential analysis (see
-    :class:`~repro.service.alerts.DifferentialAlerter`).  The last four
-    are the hardening knobs: how long an idle connection may sit on a
-    read, the largest frame the server will accept, how many pushes may
-    be in flight before new ones are told to back off, and the backoff
-    the ``RETRY_AFTER`` reply suggests.
+    :class:`~repro.service.alerts.DifferentialAlerter`).  The next four
+    are the hardening knobs the transport applies: how long an idle
+    connection may sit on a read, the largest frame the server will
+    accept, how many pushes may be in flight before new ones are told
+    to back off, and the backoff the ``RETRY_AFTER`` reply suggests.
+    Values that would break serving raise :class:`ValueError`.
     """
 
     segment_seconds: float = 10.0
@@ -75,6 +78,19 @@ class ServiceConfig:
     #: intervals" in ``osprof top``).
     state_window: int = 64
 
+    def __post_init__(self):
+        if not 0 < self.read_timeout < math.inf:
+            raise ValueError(f"read_timeout must be positive and finite, "
+                             f"got {self.read_timeout!r}")
+        if not 0 <= self.retry_after_seconds < math.inf:
+            raise ValueError(f"retry_after_seconds must be non-negative "
+                             f"and finite, got {self.retry_after_seconds!r}")
+        for name in ("max_frame_bytes", "max_pending", "flush_batch",
+                     "state_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)!r}")
+
 
 class ProfileService:
     """Thread-safe ingestion + rolling store + online alerting.
@@ -96,8 +112,6 @@ class ProfileService:
         self.warehouse = warehouse
         self.warehouse_source = warehouse_source
         self.warehouse_flush_errors = 0
-        if self.config.flush_batch < 1:
-            raise ValueError("flush_batch must be >= 1")
         self._flush_queue: List = []  # (segment index, pset) pairs
         self._flushed_epochs: set = set()
         self._epoch_base = (warehouse.index.next_epoch(warehouse_source)
@@ -116,8 +130,6 @@ class ProfileService:
             self.baseline_seeded = self.alerter.seed(
                 warehouse.recent_psets(warehouse_source,
                                        self.config.baseline_segments))
-        if self.config.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         self._lock = threading.Lock()
         self._alerts: List[Alert] = []
         self._alerts_dropped = 0
@@ -125,8 +137,6 @@ class ProfileService:
         # Serializes the check-ingest-record window of sequenced pushes
         # so a replayed sequence racing its original cannot double-merge.
         self._seq_lock = threading.Lock()
-        self._ingest_slots = threading.BoundedSemaphore(
-            self.config.max_pending)
         # Ingest counters (all guarded by the lock).
         self.ingest_requests = 0
         self.ingest_errors = 0
@@ -134,14 +144,9 @@ class ProfileService:
         self.ingest_ops = 0
         self.ingest_seconds_sum = 0.0
         self.ingest_seconds_max = 0.0
-        # Degradation counters: how often the service had to defend
-        # itself (all guarded by the lock).
+        # Replayed pushes acknowledged without a merge (guarded by the
+        # lock); the transport counts the rest of its self-defence.
         self.ingest_duplicates = 0
-        self.backpressure_rejections = 0
-        self.frames_oversize = 0
-        self.read_timeouts = 0
-        if self.config.state_window < 1:
-            raise ValueError("state_window must be >= 1")
         # Wait-state sampling: a rolling window of recent STATE_PUSH
         # profiles plus fleet-wide sampler health counters (all guarded
         # by the lock).
@@ -246,27 +251,6 @@ class ProfileService:
         with self._lock:
             return StateProfile.merged(self._state_window,
                                        name="state-window")
-
-    # -- self-defence accounting ------------------------------------------
-
-    def try_acquire_ingest_slot(self) -> bool:
-        """Claim one bounded ingest slot; False means *back off*."""
-        return self._ingest_slots.acquire(blocking=False)
-
-    def release_ingest_slot(self) -> None:
-        self._ingest_slots.release()
-
-    def note_backpressure(self) -> None:
-        with self._lock:
-            self.backpressure_rejections += 1
-
-    def note_oversize_frame(self) -> None:
-        with self._lock:
-            self.frames_oversize += 1
-
-    def note_read_timeout(self) -> None:
-        with self._lock:
-            self.read_timeouts += 1
 
     def tick(self, now: Optional[float] = None) -> List[Alert]:
         """Rotate the store on the clock alone (no push needed).
@@ -401,9 +385,6 @@ class ProfileService:
                 f"osprof_alerts_total "
                 f"{len(self._alerts) + self._alerts_dropped}",
                 f"osprof_ingest_duplicates_total {self.ingest_duplicates}",
-                f"osprof_backpressure_total {self.backpressure_rejections}",
-                f"osprof_frames_oversize_total {self.frames_oversize}",
-                f"osprof_read_timeouts_total {self.read_timeouts}",
                 f"osprof_push_clients {len(self.ledger)}",
                 f"osprof_warehouse_segments_total "
                 f"{wh.segments_total if wh else 0}",
@@ -511,11 +492,6 @@ def _state_push(service, payload: bytes) -> Reply:
     return bad_payload(ingest)
 
 
-def _metrics(service, payload: bytes) -> Reply:
-    service.tick()
-    return FrameType.TEXT, service.metrics_text().encode("utf-8")
-
-
 def _snapshot(service, payload: bytes) -> Reply:
     return FrameType.PROFILE, service.snapshot().to_bytes()
 
@@ -549,7 +525,6 @@ FRAME_HANDLERS: Dict[int, FrameHandler] = {
     FrameType.PUSH: FrameHandler(_push, gated=True),
     FrameType.PUSH_SEQ: FrameHandler(_push_seq, gated=True),
     FrameType.STATE_PUSH: FrameHandler(_state_push, gated=True),
-    FrameType.METRICS: FrameHandler(_metrics),
     FrameType.SNAPSHOT: FrameHandler(_snapshot),
     FrameType.ALERTS: FrameHandler(_alerts),
     FrameType.SQL: FrameHandler(_sql),

@@ -276,25 +276,32 @@ class Warehouse:
 
     # -- reading -------------------------------------------------------------
 
+    def _decode_segment(self, meta: SegmentMeta, decode):
+        """Read one committed segment file and *decode* it (CRC checked).
+
+        Callers look *decode* up at call time, so a wrapper patched onto
+        its class (a profiler's, say) sees every decode.
+        """
+        try:
+            data = (self.root / meta.file).read_bytes()
+        except FileNotFoundError:
+            raise WarehouseError(
+                f"committed segment {meta.seg_id} missing on disk: "
+                f"{meta.file}") from None
+        try:
+            return decode(data)
+        except ValueError as exc:
+            raise WarehouseError(
+                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
+                from None
+
     def load_segment(self, meta: SegmentMeta) -> ProfileSet:
         """Decode one committed segment (CRC enforced by the codec)."""
         if meta.kind != "profile":
             raise WarehouseError(
                 f"segment {meta.seg_id} holds {meta.kind!r}, not a "
                 f"latency profile (use load_state)")
-        path = self.root / meta.file
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        try:
-            pset = ProfileSet.from_bytes(data)
-        except ValueError as exc:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
-                from None
+        pset = self._decode_segment(meta, ProfileSet.from_bytes)
         # Restore what the codec's one-float64-per-total rounding
         # dropped at commit time, so merges over this segment stay
         # sum-exact (see SegmentMeta.resid).
@@ -342,19 +349,7 @@ class Warehouse:
         if cached is not None and cached.crc == self._trailer_crc(meta):
             self.cache_hits_total += 1
             return cached
-        path = self.root / meta.file
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        try:
-            cols = ColumnarSegment.from_bytes(data)
-        except ValueError as exc:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
-                from None
+        cols = self._decode_segment(meta, ColumnarSegment.from_bytes)
         self._columns[meta.seg_id] = cols
         self.cache_misses_total += 1
         return cols
@@ -369,19 +364,7 @@ class Warehouse:
             raise WarehouseError(
                 f"segment {meta.seg_id} holds {meta.kind!r}, not "
                 f"wait-state samples (use load_segment)")
-        path = self.root / meta.file
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        try:
-            return StateProfile.from_bytes(data)
-        except ValueError as exc:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
-                from None
+        return self._decode_segment(meta, StateProfile.from_bytes)
 
     def sources(self) -> List[str]:
         with self._lock:

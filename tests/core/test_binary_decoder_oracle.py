@@ -3,11 +3,15 @@
 :func:`reference_decode` is the decoder :func:`parse_binary` replaced:
 a bounds-checked cursor that ``struct.unpack``\\ s one field at a time
 and rebuilds every histogram with a per-bucket restore.  It is kept here
-verbatim as the reference, with one marked addition: the pair-count
-bound of docs/FORMATS.md, which rejects a count no valid operation can
-carry before its pairs are read.  Every input the bound rejects is also
-rejected by the unbounded reference, so the two accept the same set;
-the bound only changes which message such a payload gets.
+verbatim as the reference, with two marked additions.  The pair-count
+bound of docs/FORMATS.md rejects a count no valid operation can carry
+before its pairs are read; every input the bound rejects is also
+rejected by the unbounded reference, so the two accept the same set,
+and the bound only changes which message such a payload gets.  The
+duplicate-attribute rule rejects a repeated attribute key, checked
+after the key is read and before its value, where the original kept
+the last value; it is part of both references, so it narrows what is
+accepted (such a payload never re-encoded to its own bytes).
 
 Both production decoders — ``ProfileSet.from_bytes`` and
 ``ColumnarSegment.from_bytes`` — must accept exactly what the reference
@@ -116,6 +120,9 @@ def reference_decode(data, bounded: bool = True) -> ProfileSet:
     attributes = {}
     for _ in range(nattrs):
         key = reader.string()
+        # Addition: a repeated attribute key is rejected, not last-wins.
+        if key in attributes:
+            raise ValueError(f"duplicate attribute {key!r}")
         attributes[key] = reader.string()
     pset = ProfileSet(name=name, spec=spec, attributes=attributes)
     (nprofiles,) = reader.unpack("<I")
@@ -127,7 +134,7 @@ def reference_decode(data, bounded: bool = True) -> ProfileSet:
         min_latency = reader.unpack("<d")[0] if flags & 1 else None
         max_latency = reader.unpack("<d")[0] if flags & 2 else None
         (nbuckets,) = reader.unpack("<I")
-        # The one addition to the original decoder: the pair-count bound.
+        # Addition: the pair-count bound.
         if bounded and nbuckets > MAX_PAIRS:
             raise ValueError(
                 f"bad op {operation!r}: {nbuckets} bucket pairs, more "
@@ -354,6 +361,20 @@ class TestRejectionOrder:
         with pytest.raises(ValueError, match="duplicate bucket 5"):
             ColumnarSegment.from_bytes(blob)
         assert_decoders_agree(blob)
+
+    def test_repeated_attribute_key_is_rejected(self):
+        body = (struct.pack("<B", 1) + _str("") + struct.pack("<H", 2)
+                + _str("k") + _str("a") + _str("k") + _str("b")
+                + struct.pack("<I", 0))
+        blob = with_crc(body)
+        for decode in (ProfileSet.from_bytes, ColumnarSegment.from_bytes):
+            with pytest.raises(ValueError,
+                               match="^duplicate attribute 'k'$"):
+                decode(blob)
+        assert not assert_decoders_agree(blob)
+        # The key is checked before its value is read.
+        with pytest.raises(ValueError, match="duplicate attribute"):
+            ProfileSet.from_bytes(with_crc(body[:-len(_str("b")) - 4]))
 
     def test_zero_counts_are_dropped(self):
         blob = _one_op([(7, 0), (3, 2), (5, 0)])

@@ -321,6 +321,21 @@ class TestResilienceFlags:
         assert args.read_timeout == 5.0
         assert args.max_pending == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "0", "--read-timeout", "0"],
+        ["relay", "--upstream", "127.0.0.1:1", "--port", "0",
+         "--read-timeout", "0"],
+    ])
+    def test_read_timeout_zero_is_one_clear_error(self, argv, tmp_path,
+                                                  capsys):
+        # Refused before anything listens: exit 1, one line.
+        rc = main(argv + (["--dir", str(tmp_path)]
+                          if argv[0] == "relay" else []))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["osprof: error: read_timeout must be positive "
+                       "and finite, got 0.0"]
+
     def test_watch_parser_accepts_reconnect_cap(self):
         args = build_parser().parse_args(
             ["watch", "127.0.0.1:7461", "--reconnect-cap", "1.5"])

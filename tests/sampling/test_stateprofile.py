@@ -32,6 +32,11 @@ def rechecksum(payload: bytes) -> bytes:
         "<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
+def _str(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
+
+
 class TestContainer:
     def test_add_accumulates_per_cell(self):
         sprof = StateProfile()
@@ -154,6 +159,29 @@ class TestCodec:
             out.append(struct.pack("<Q", 1))
         with pytest.raises(ValueError, match="duplicate"):
             StateProfile.from_bytes(rechecksum(b"".join(out)))
+
+    def test_zero_count_cell_dropped(self):
+        # CRC-valid, but no add() sequence writes a zero-count cell: the
+        # decoded profile is the empty one, byte for byte.
+        empty = StateProfile(name="z", interval=10.0)
+        payload = (_str("z") + struct.pack("<dQHI", 10.0, 0, 0, 1)
+                   + b"".join(_str(f) for f in ("blocked", "fs", "read",
+                                                  "io:read"))
+                   + struct.pack("<Q", 0))
+        sprof = StateProfile.from_bytes(rechecksum(payload))
+        assert len(sprof) == 0
+        assert sprof.top(5) == []
+        assert sprof == empty
+        assert sprof.to_bytes() == empty.to_bytes()
+
+    def test_duplicate_attribute_rejected(self):
+        # A repeated key used to be last-wins, so decode -> encode lost
+        # bytes; it is now an error, named before its value is read.
+        payload = (_str("d") + struct.pack("<dQH", 10.0, 1, 2)
+                   + _str("host") + _str("a") + _str("host") + _str("b")
+                   + struct.pack("<I", 0))
+        with pytest.raises(ValueError, match="^duplicate attribute 'host'$"):
+            StateProfile.from_bytes(rechecksum(payload))
 
     @pytest.mark.parametrize("interval", [math.nan, math.inf, -1.0])
     def test_bad_interval_rejected(self, interval):

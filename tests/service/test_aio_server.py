@@ -7,6 +7,11 @@ slots answered with ``RETRY_AFTER``, graceful drain losing nothing that
 was acked — plus the invariant the threaded server never needed:
 per-connection buffering stays bounded no matter how hard a client
 pipelines.
+
+The transport is the ingest gate of both services it serves: the
+hardening tests run against a root (``make_server``) and, in
+:class:`TestRelayGate`, against a relay (``make_relay``), and read the
+gate's counters from the transport and from its ``METRICS`` reply.
 """
 
 import socket
@@ -23,6 +28,7 @@ from repro.service.client import (RetryAfter, ServiceClient, ServiceError,
 from repro.service.protocol import (MAGIC, FrameType, decode_retry_after,
                                     encode_push_seq, recv_frame,
                                     send_frame, _HEADER)
+from repro.service.relay import RelayServer, RelayService
 from repro.service.server import ProfileService, ServiceConfig
 
 
@@ -42,6 +48,39 @@ def make_server(**config_kwargs):
     server = AsyncProfileServer(service)
     server.serve_in_thread()
     return service, server
+
+
+def make_relay(root, **config_kwargs):
+    """A relay transport with no forwarder: pushes stay spooled."""
+    relay = RelayService(root, upstream=("127.0.0.1", 1),
+                         config=ServiceConfig(**config_kwargs))
+    server = RelayServer(relay, flush_interval=None)
+    server.serve_in_thread()
+    return relay, server
+
+
+@pytest.fixture
+def make():
+    """The transport under test; :class:`TestRelayGate` swaps in a relay."""
+    return make_server
+
+
+def accepted(service) -> int:
+    """Pushes a root merged or a relay spooled."""
+    if isinstance(service, RelayService):
+        return service.accepted
+    return service.ingest_requests
+
+
+def gate_metrics(server) -> str:
+    """The gate's three lines of the transport's ``METRICS`` reply."""
+    host, port = server.address
+    with ServiceClient(host, port) as client:
+        page = client.metrics()
+    return "".join(line + "\n" for line in page.splitlines()
+                   if line.startswith(("osprof_backpressure_total ",
+                                       "osprof_frames_oversize_total ",
+                                       "osprof_read_timeouts_total ")))
 
 
 class TestWireParity:
@@ -108,8 +147,8 @@ class TestWireParity:
 class TestHardening:
     """Oversize guard, read timeout, protocol desync — all preserved."""
 
-    def test_oversize_frame_rejected_from_header(self):
-        service, server = make_server(max_frame_bytes=1024)
+    def test_oversize_frame_rejected_from_header(self, make):
+        service, server = make(max_frame_bytes=1024)
         try:
             host, port = server.address
             sock = socket.create_connection((host, port), timeout=5.0)
@@ -125,7 +164,11 @@ class TestHardening:
                 assert recv_frame(sock) is None  # server closed
             finally:
                 sock.close()
-            assert service.frames_oversize == 1
+            assert server.frames_oversize == 1
+            assert gate_metrics(server) == (
+                "osprof_backpressure_total 0\n"
+                "osprof_frames_oversize_total 1\n"
+                "osprof_read_timeouts_total 0\n")
         finally:
             server.server_close()
 
@@ -142,8 +185,8 @@ class TestHardening:
         finally:
             server.server_close()
 
-    def test_idle_connection_times_out(self):
-        service, server = make_server(read_timeout=0.2)
+    def test_idle_connection_times_out(self, make):
+        service, server = make(read_timeout=0.2)
         try:
             host, port = server.address
             sock = socket.create_connection((host, port), timeout=5.0)
@@ -152,9 +195,13 @@ class TestHardening:
             finally:
                 sock.close()
             deadline = time.time() + 5.0
-            while service.read_timeouts == 0 and time.time() < deadline:
+            while server.read_timeouts == 0 and time.time() < deadline:
                 time.sleep(0.01)
-            assert service.read_timeouts == 1
+            assert server.read_timeouts == 1
+            assert gate_metrics(server) == (
+                "osprof_backpressure_total 0\n"
+                "osprof_frames_oversize_total 0\n"
+                "osprof_read_timeouts_total 1\n")
         finally:
             server.server_close()
 
@@ -176,27 +223,32 @@ class TestHardening:
 class TestBackpressure:
     """Saturated ingest slots shed load with RETRY_AFTER, identically."""
 
-    def test_saturated_slots_answer_retry_after(self):
-        service, server = make_server(max_pending=2,
-                                      retry_after_seconds=0.07)
+    def test_saturated_slots_answer_retry_after(self, make):
+        service, server = make(max_pending=2, retry_after_seconds=0.07)
         try:
             host, port = server.address
             # Occupy every slot out-of-band: the transport and this
-            # test share the service's one gate.
-            assert service.try_acquire_ingest_slot()
-            assert service.try_acquire_ingest_slot()
+            # test share the transport's one gate.
+            assert server.ingest_slots.acquire(blocking=False)
+            assert server.ingest_slots.acquire(blocking=False)
             try:
                 with ServiceClient(host, port) as client:
                     with pytest.raises(RetryAfter) as exc_info:
                         client.push(pset())
                     assert exc_info.value.seconds == pytest.approx(0.07)
             finally:
-                service.release_ingest_slot()
-                service.release_ingest_slot()
-            assert service.backpressure_rejections == 1
+                server.ingest_slots.release()
+                server.ingest_slots.release()
+            assert server.backpressure_rejections == 1
+            assert accepted(service) == 0
+            assert gate_metrics(server) == (
+                "osprof_backpressure_total 1\n"
+                "osprof_frames_oversize_total 0\n"
+                "osprof_read_timeouts_total 0\n")
             # Slots freed: the same wire accepts pushes again.
             with ServiceClient(host, port) as client:
-                assert "merged" in client.push(pset())
+                assert " ops over " in client.push(pset())
+            assert accepted(service) == 1
         finally:
             server.server_close()
 
@@ -268,14 +320,14 @@ class TestBatchedReplies:
         finally:
             server.server_close()
 
-    def test_gated_frames_of_a_saturated_batch_all_retry(self):
-        service, server = make_server(max_pending=2,
-                                      retry_after_seconds=0.07)
+    def test_gated_frames_of_a_saturated_batch_all_retry(self, make):
+        service, server = make(max_pending=2, retry_after_seconds=0.07)
         try:
             host, port = server.address
             push = frame(FrameType.PUSH, pset().to_bytes())
-            assert service.try_acquire_ingest_slot()
-            assert service.try_acquire_ingest_slot()
+            slots = server.ingest_slots
+            assert slots.acquire(blocking=False)
+            assert slots.acquire(blocking=False)
             sock = socket.create_connection((host, port), timeout=10.0)
             try:
                 sock.sendall(push * 5 + frame(FrameType.METRICS))
@@ -285,31 +337,53 @@ class TestBatchedReplies:
                 assert decode_retry_after(replies[0][1]) == \
                     pytest.approx(0.07)
                 assert replies[5][0] == FrameType.TEXT
-                assert service.backpressure_rejections == 5
-                assert service.ingest_requests == 0
+                assert b"osprof_backpressure_total 5\n" in replies[5][1]
+                assert server.backpressure_rejections == 5
+                assert accepted(service) == 0
                 # One slot free: the whole batch runs under it.
-                service.release_ingest_slot()
+                slots.release()
                 sock.sendall(push * 5)
                 replies = [recv_frame(sock) for _ in range(5)]
                 assert [r[0] for r in replies] == [FrameType.OK] * 5
             finally:
                 sock.close()
-            assert service.ingest_requests == 5
+            assert accepted(service) == 5
             # Once the batch is written its slot comes back: both slots
             # can be claimed again.
-            service.release_ingest_slot()
+            slots.release()
             deadline = time.time() + 5.0
             claimed = 0
             while claimed < 2 and time.time() < deadline:
-                if service.try_acquire_ingest_slot():
+                if slots.acquire(blocking=False):
                     claimed += 1
                 else:
                     time.sleep(0.01)
             assert claimed == 2
-            service.release_ingest_slot()
-            service.release_ingest_slot()
+            slots.release()
+            slots.release()
+            assert gate_metrics(server) == (
+                "osprof_backpressure_total 5\n"
+                "osprof_frames_oversize_total 0\n"
+                "osprof_read_timeouts_total 0\n")
         finally:
             server.server_close()
+
+
+class TestRelayGate:
+    """The same gate tests against a relay: its transport is the gate."""
+
+    @pytest.fixture
+    def make(self, tmp_path):
+        return lambda **config: make_relay(tmp_path / "relay", **config)
+
+    test_oversize_frame_rejected_from_header = \
+        TestHardening.test_oversize_frame_rejected_from_header
+    test_idle_connection_times_out = \
+        TestHardening.test_idle_connection_times_out
+    test_saturated_slots_answer_retry_after = \
+        TestBackpressure.test_saturated_slots_answer_retry_after
+    test_gated_frames_of_a_saturated_batch_all_retry = \
+        TestBatchedReplies.test_gated_frames_of_a_saturated_batch_all_retry
 
 
 class TestBoundedMemory:

@@ -102,28 +102,30 @@ class TestRetryEngine:
     def test_retry_after_consumes_attempt_then_succeeds(self, server):
         host, port = server.address
         service = server.service
-        assert service.try_acquire_ingest_slot()  # congest: hold a slot
+        slots = server.ingest_slots
+        assert slots.acquire(blocking=False)  # congest: hold a slot
         held = {"active": True}
 
         def sleep(seconds):
             # The client honoring RETRY_AFTER sleeps the suggested time;
             # the congestion clears while it waits.
             if held["active"]:
-                service.release_ingest_slot()
+                slots.release()
                 held["active"] = False
 
         config_pending = service.config.max_pending
         for _ in range(config_pending - 1):
-            assert service.try_acquire_ingest_slot()
+            assert slots.acquire(blocking=False)
         try:
             with ResilientServiceClient(host, port, retries=2,
                                         sleep=sleep) as client:
                 assert "seq 1" in client.push(pset())
             assert not held["active"]
-            assert service.backpressure_rejections >= 1
+            assert server.backpressure_rejections >= 1
+            assert service.ingest_requests == 1
         finally:
             for _ in range(config_pending - 1):
-                service.release_ingest_slot()
+                slots.release()
 
     def test_independent_clients_never_dedup_each_other(self, server):
         # Spool-less clients restart their sequences at 1, so default

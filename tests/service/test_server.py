@@ -1,5 +1,6 @@
 """Tests for the profiling service core, its frame table and transport."""
 
+import math
 import socket
 
 import pytest
@@ -210,15 +211,18 @@ class TestSequencedIngest:
             "c1", 1, pset(STEADY).to_bytes())
         assert merged and "seq 1" in status
 
-    def test_degradation_metrics_exposed(self, service):
+    def test_degradation_metrics_exposed(self, service, server):
         service.ingest_sequenced("c1", 1, pset(STEADY).to_bytes())
         service.ingest_sequenced("c1", 1, pset(STEADY).to_bytes())
         text = service.metrics_text()
         assert "osprof_ingest_duplicates_total 1" in text
-        assert "osprof_backpressure_total 0" in text
-        assert "osprof_frames_oversize_total 0" in text
-        assert "osprof_read_timeouts_total 0" in text
         assert "osprof_push_clients 1" in text
+        # The transport's gate counters extend the service page.
+        page = server.metrics_text()
+        assert page.startswith(text)
+        assert "osprof_backpressure_total 0\n" in page
+        assert "osprof_frames_oversize_total 0\n" in page
+        assert "osprof_read_timeouts_total 0\n" in page
 
 
 class TestHardening:
@@ -240,8 +244,9 @@ class TestHardening:
 
     def test_backpressure_sends_retry_after(self, server, service):
         held = 0
-        while service.try_acquire_ingest_slot():
+        while server.ingest_slots.acquire(blocking=False):
             held += 1
+        assert held == service.config.max_pending
         try:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
@@ -251,12 +256,35 @@ class TestHardening:
                 assert decode_retry_after(payload) > 0
         finally:
             for _ in range(held):
-                service.release_ingest_slot()
-        assert service.backpressure_rejections == 1
+                server.ingest_slots.release()
+        assert server.backpressure_rejections == 1
+        assert "osprof_backpressure_total 1\n" in server.metrics_text()
 
     def test_rejects_nonpositive_max_pending(self):
         with pytest.raises(ValueError):
             ProfileService(ServiceConfig(max_pending=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("read_timeout", 0), ("read_timeout", -1.0),
+        ("read_timeout", math.nan), ("read_timeout", math.inf),
+        ("retry_after_seconds", -1.0), ("retry_after_seconds", math.nan),
+        ("retry_after_seconds", math.inf),
+        ("max_frame_bytes", 0), ("max_frame_bytes", -1),
+        ("max_pending", -3),
+        ("flush_batch", 0), ("state_window", 0),
+    ])
+    def test_rejects_hardening_values_that_break_serving(self, field,
+                                                         value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("read_timeout", 1e-3), ("retry_after_seconds", 0.0),
+        ("max_frame_bytes", 1), ("max_pending", 1), ("flush_batch", 1),
+        ("state_window", 1),
+    ])
+    def test_accepts_the_smallest_serving_values(self, field, value):
+        assert getattr(ServiceConfig(**{field: value}), field) == value
 
 
 class TestGracefulDrain:
