@@ -338,10 +338,6 @@ class LatencyBuckets:
         """A copy of the sparse bucket→count mapping."""
         return dict(self._counts)
 
-    def nonzero_buckets(self) -> List[int]:
-        """Sorted indices of buckets holding at least one request."""
-        return sorted(self._counts)
-
     def as_list(self, first: Optional[int] = None,
                 last: Optional[int] = None) -> List[int]:
         """Dense list of counts from bucket *first* to *last* inclusive.

@@ -130,11 +130,6 @@ class CrashFS:
         """The current op count — 'everything before this is done'."""
         return len(self.ops)
 
-    def crash_points(self) -> range:
-        """Every crash prefix, including 'before anything' and 'after
-        everything'."""
-        return range(len(self.ops) + 1)
-
     def notes_through(self, point: int) -> List[Any]:
         """Tags of every note op within the first *point* ops."""
         return [op.tag for op in self.ops[:point] if op.kind == "note"]

@@ -292,10 +292,6 @@ class FaultySocket:
     def sends(self) -> int:
         return self._counters["send"]
 
-    @property
-    def recvs(self) -> int:
-        return self._counters["recv"]
-
     def sendall(self, data: bytes) -> None:
         attempt = self._counters["send"]
         self._counters["send"] += 1

@@ -42,7 +42,8 @@ helpers it uses (:func:`seal`, :func:`unseal`, :func:`read_str`, ...)
 are shared with the ``OSPROFS1`` wait-state codec, framed the same way.
 :meth:`ProfileSet.fold_rows` turns the rows it returns into histograms
 (:meth:`ProfileSet.from_bytes` is a new set plus that fold), and the
-warehouse's ``ColumnarSegment.from_bytes`` is a thin loop over them.
+warehouse caches them per segment (``ColumnarSegment``) and merges
+cached segments through the same fold.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ def parse_binary(data) -> Tuple[int, BucketSpec, str, Dict[str, str],
     """Decode and verify one ``OSPROFB1`` payload.
 
     The one decoder of the binary format: :meth:`ProfileSet.from_bytes`
-    and the warehouse's ``ColumnarSegment.from_bytes`` are loops over
-    its rows.  Returns ``(crc, spec, name, attributes, rows)``, *crc*
+    folds its rows, and the warehouse's ``ColumnarSegment.from_bytes``
+    keeps them.  Returns ``(crc, spec, name, attributes, rows)``, *crc*
     being the trailer and each row a :data:`Row`.
 
     Checks run in the order docs/FORMATS.md gives, and any failure

@@ -45,12 +45,6 @@ class CifsMount:
     #: probe; None when the mount is built uninstrumented.
     net_profiler: Optional[Profiler] = None
 
-    def net_profiles(self):
-        """The network-level ProfileSet (empty if uninstrumented)."""
-        if self.net_profiler is None:
-            raise ValueError("mount was built with instrumentation off")
-        return self.net_profiler.profile_set()
-
 
 def _wire_net_probe(client: System, instrumentation: str):
     """A NETWORK-layer probe on the client's machine-wide pipeline."""

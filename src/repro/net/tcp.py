@@ -66,10 +66,6 @@ class Packet:
         self.delivered_at = 0.0
         self.seq = 0
 
-    @property
-    def is_pure_ack(self) -> bool:
-        return not self.is_data
-
     def __repr__(self) -> str:
         kind = "data" if self.is_data else "ack"
         return (f"<Packet {self.src}->{self.dst} {kind} "

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Set)
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set
 
 from .clock import POWERUP_SKEW_SECONDS, TscBank
 from .engine import Engine, Event, seconds
@@ -124,10 +123,6 @@ class Kernel:
         cpu = proc.cpu if proc.cpu is not None else 0
         return self.tsc.read(cpu, self.engine.now)
 
-    def tsc_clock_for(self, proc: Process) -> Callable[[], float]:
-        """A profiler-compatible clock bound to one process's view."""
-        return lambda: self.read_tsc(proc)
-
     # -- process lifecycle ------------------------------------------------------
 
     def spawn(self, body, name: str = "") -> Process:
@@ -158,10 +153,6 @@ class Kernel:
             yield  # pragma: no cover - makes this a generator
         result = yield WaitCondition(self._exit_conditions[proc.pid])
         return result
-
-    def runnable_others(self, proc: Process) -> bool:
-        """True when someone else is waiting for this process's CPU."""
-        return len(self.run_queue) > 0
 
     # -- condition plumbing (used by sync primitives and devices) ---------------
 

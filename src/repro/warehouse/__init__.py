@@ -15,10 +15,12 @@ sampled archives:
   footprint,
 * :mod:`repro.warehouse.warehouse` — the :class:`Warehouse` facade:
   ``ingest`` / ``query`` / ``compact`` / ``gc`` plus named baselines,
-* :mod:`repro.warehouse.columnar` — the columnar segment decoder and
-  merge engine: struct-packed postings decoded once into flat arrays,
-  merged without intermediate :class:`~repro.core.profileset.ProfileSet`
-  objects, byte-identical to ``ProfileSet.merged``,
+* :mod:`repro.warehouse.columnar` — the cached segment decode and
+  merge: each segment's checked ``parse_binary`` rows, decoded once and
+  folded with ``ProfileSet.fold_rows``, byte-identical to
+  ``ProfileSet.merged`` (the module and its ``ColumnarSegment`` /
+  ``merged_profile_set`` keep their names because the benchmark's
+  tracer wraps them by name),
 * :mod:`repro.warehouse.sql` — the analytics query engine behind
   ``osprof db sql``: SELECT / WHERE / GROUP BY / ORDER BY / LIMIT over
   warehouse dimensions with latency aggregates,
@@ -29,7 +31,7 @@ Exposed on the CLI as ``osprof db {ingest,query,sql,compact,gc,scrub,
 baseline,gate}`` and wired into ``osprof serve --db``.
 """
 
-from .columnar import ColumnarSegment, group_histogram, merged_profile_set
+from .columnar import ColumnarSegment, merged_profile_set
 from .gate import (EXIT_BREACH, Breach, GateReport, Threshold,
                    evaluate_gate, parse_threshold)
 from .index import SegmentMeta, WarehouseIndex
@@ -58,7 +60,6 @@ __all__ = [
     "WarehouseIndex",
     "evaluate_gate",
     "execute_sql",
-    "group_histogram",
     "merged_profile_set",
     "parse_sql",
     "parse_threshold",

@@ -3,7 +3,7 @@
 The paper's analysis workflow is comparative — which operation's peak
 moved, which layer grew — and at fleet scale those questions span many
 sources, epochs and tiers at once.  This module turns the warehouse's
-columnar postings into one relation and runs
+cached segment rows into one relation and runs
 ``SELECT / WHERE / GROUP BY / ORDER BY / LIMIT`` queries with
 profile-aware aggregates over it, so "top 10 ops by p99 drift across
 sources this hour" is one command instead of a script.
@@ -32,7 +32,7 @@ shift against a named warehouse baseline's same-operation profile).
 
 Determinism contract: on profile-level queries (no ``bucket``/``count``
 reference), ``total_latency()`` folds the same encoded totals and
-commit-log residuals the columnar merge folds, so a single-group
+commit-log residuals the warehouse merge folds, so a single-group
 ``SELECT total_latency()`` over some filter equals the
 ``Warehouse.query`` / ``ProfileSet.merged`` total for that filter
 bit-for-bit — through compaction and reopen.  Bucket-level queries
@@ -64,8 +64,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.compare import earth_movers_distance
-from ..core.buckets import BucketSpec, _grow_expansion
-from .columnar import group_histogram
+from ..core.buckets import BucketSpec, LatencyBuckets, _grow_expansion
 
 __all__ = [
     "DIMENSIONS",
@@ -538,10 +537,11 @@ def _scan_rows(warehouse, stmt: SelectStatement, bucket_level: bool,
                sample_level: bool = False):
     """Yield ``(row_dict, contribution)`` in deterministic scan order.
 
-    *contribution* is ``(cols, i, resid_components)`` for profile-level
-    rows (the exact accumulation inputs), ``(bucket, count)`` for
-    bucket-level rows, or the cell's sample count for sample-level
-    rows.
+    *contribution* is ``(row, resid_components)`` for profile-level
+    rows (the segment's decoded :data:`~repro.core.profileset.Row` and
+    its commit-log residual: the exact accumulation inputs),
+    ``(bucket, count)`` for bucket-level rows, or the cell's sample
+    count for sample-level rows.
     """
     if sample_level:
         for source in warehouse.sources():
@@ -572,22 +572,21 @@ def _scan_rows(warehouse, stmt: SelectStatement, bucket_level: bool,
             resid = dict(meta.resid)
             base = {"source": meta.source, "epoch": meta.epoch,
                     "epoch_end": meta.epoch_end, "tier": meta.tier}
-            for i, operation in enumerate(cols.ops):
+            for seg_row in cols.rows:
+                operation, layer = seg_row[0], seg_row[1]
                 row = dict(base)
                 row["op"] = operation
-                row["layer"] = cols.layers[i]
+                row["layer"] = layer
                 if not bucket_level:
                     if stmt.where is None or _eval(stmt.where, row):
-                        yield row, (cols, i, resid.get(operation))
+                        yield row, (seg_row, resid.get(operation))
                     continue
-                a, b = cols.row_start[i], cols.row_start[i + 1]
-                for j in range(a, b):
+                for bucket, count in zip(seg_row[6], seg_row[7]):
                     brow = dict(row)
-                    brow["bucket"] = cols.bucket_ids[j]
-                    brow["count"] = cols.bucket_counts[j]
+                    brow["bucket"] = bucket
+                    brow["count"] = count
                     if stmt.where is None or _eval(stmt.where, brow):
-                        yield brow, (cols.bucket_ids[j],
-                                     cols.bucket_counts[j])
+                        yield brow, (bucket, count)
 
 
 def _spec_of(warehouse) -> BucketSpec:
@@ -595,6 +594,20 @@ def _spec_of(warehouse) -> BucketSpec:
         for meta in warehouse.segments(source):
             return BucketSpec(warehouse.load_columns(meta).resolution)
     return BucketSpec()
+
+
+def group_histogram(counts: Dict[int, int],
+                    spec: Optional[BucketSpec] = None) -> LatencyBuckets:
+    """A bare histogram over sparse *counts* (for metric evaluation).
+
+    Totals are left at the counts sum / zero latency — the
+    distribution aggregates only consume the bucket vector, never the
+    latency totals.
+    """
+    hist = LatencyBuckets(spec)
+    hist._counts = {int(b): int(c) for b, c in counts.items() if c}
+    hist.total_ops = sum(hist._counts.values())
+    return hist
 
 
 def _aggregate_value(item: SelectItem, group: _GroupState,
@@ -695,17 +708,16 @@ def execute_sql(warehouse, query) -> QueryResult:
             group.counts[bucket] = group.counts.get(bucket, 0) + count
             group.est += spec.mid(bucket) * count
         else:
-            cols, i, components = contribution
-            group.nops += cols.total_ops[i]
-            _grow_expansion(group.partials, cols.enc_total[i])
+            (_op, _layer, total_ops, total_latency, mn, mx, ids,
+             cnts), components = contribution
+            group.nops += total_ops
+            _grow_expansion(group.partials, total_latency)
             if components:
                 for c in components:
                     _grow_expansion(group.partials, c)
-            for j in range(cols.row_start[i], cols.row_start[i + 1]):
-                b = cols.bucket_ids[j]
-                group.counts[b] = group.counts.get(b, 0) \
-                    + cols.bucket_counts[j]
-            mn, mx = cols.mins[i], cols.maxs[i]
+            counts = group.counts
+            for b, count in zip(ids, cnts):
+                counts[b] = counts.get(b, 0) + count
             if mn is not None and (group.mn is None or mn < group.mn):
                 group.mn = mn
             if mx is not None and (group.mx is None or mx > group.mx):

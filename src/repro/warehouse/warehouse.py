@@ -110,6 +110,7 @@ class Warehouse:
         self.mirror = Path(mirror_dir) if mirror_dir is not None else None
         if self.mirror is not None:
             durable.ensure_dir(self.mirror / "segments")
+            self._mirror_prefix = os.path.join(os.fspath(self.mirror), "")
         self.log = SegmentLog(self.root / "wal.log")
         self.index = WarehouseIndex()
         for record in self.log.recover():
@@ -119,13 +120,13 @@ class Warehouse:
         self.scrub_scanned_total = 0
         self.scrub_corrupt_total = 0
         self.scrub_repaired_total = 0
-        # Decoded-columns cache: seg_id -> ColumnarSegment.  Segment
+        # Decoded-segment cache: seg_id -> ColumnarSegment.  Segment
         # files are immutable once committed, but a hit still re-reads
-        # the 4-byte codec trailer and compares it against the cached
-        # entry's CRC, so a file swapped or damaged underneath us is
-        # decoded (and CRC-checked) afresh instead of served stale.
-        # Entries die with their segment: compaction supersede and gc
-        # eviction both invalidate.
+        # the 4-byte codec trailer at the committed size and compares it
+        # against the cached entry's CRC, so a file swapped, grown,
+        # shrunk or damaged underneath us is decoded (and CRC-checked)
+        # afresh instead of served stale.  Entries die with their
+        # segment: compaction supersede and gc eviction both invalidate.
         self._columns: Dict[int, ColumnarSegment] = {}
         self.cache_hits_total = 0
         self.cache_misses_total = 0
@@ -276,6 +277,13 @@ class Warehouse:
 
     # -- reading -------------------------------------------------------------
 
+    @staticmethod
+    def _read(path: str) -> bytes:
+        # Every segment-file read: an unbuffered open of a prebuilt path
+        # string, no pathlib objects on a path taken once per segment.
+        with open(path, "rb", buffering=0) as f:
+            return f.read()
+
     def _decode_segment(self, meta: SegmentMeta, decode):
         """Read one committed segment file and *decode* it (CRC checked).
 
@@ -283,7 +291,7 @@ class Warehouse:
         its class (a profiler's, say) sees every decode.
         """
         try:
-            data = (self.root / meta.file).read_bytes()
+            data = self._read(self._root_prefix + meta.file)
         except FileNotFoundError:
             raise WarehouseError(
                 f"committed segment {meta.seg_id} missing on disk: "
@@ -311,44 +319,36 @@ class Warehouse:
                 prof.histogram.correct_total_latency(components)
         return pset
 
-    def _trailer_crc(self, meta: SegmentMeta) -> Optional[int]:
-        """The stored CRC-32 trailer of a segment file (4-byte read).
-
-        Plain syscalls on a prebuilt path string: this runs on every
-        cache hit.  ``None`` when the last four bytes cannot be read
-        (a file shorter than a trailer, say), so the caller decodes the
-        file afresh and the codec names the damage.
-        """
-        try:
-            fd = os.open(self._root_prefix + meta.file, os.O_RDONLY)
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        except OSError:
-            return None
-        try:
-            os.lseek(fd, -4, os.SEEK_END)
-            trailer = os.read(fd, 4)
-        except OSError:
-            return None
-        finally:
-            os.close(fd)
-        return int.from_bytes(trailer, "little") if len(trailer) == 4 \
-            else None
-
     def load_columns(self, meta: SegmentMeta) -> ColumnarSegment:
-        """Columnar decode of one committed segment, through the cache.
+        """Decoded rows of one committed segment, through the cache.
 
-        A hit is validated against the file's CRC trailer (cache key =
-        segment id + CRC); a miss — or a trailer that no longer matches
-        the cached entry or cannot be read — reads and decodes the
-        file, CRC enforced.
+        A hit is validated with one ``pread`` at the committed size: it
+        counts only if exactly the four trailer bytes come back and
+        they equal the cached entry's CRC (cache key = segment id +
+        CRC).  A miss — or a file whose size or trailer no longer
+        matches, or cannot be read — reads and decodes the file, CRC
+        enforced.
         """
         cached = self._columns.get(meta.seg_id)
-        if cached is not None and cached.crc == self._trailer_crc(meta):
-            self.cache_hits_total += 1
-            return cached
+        if cached is not None:
+            try:
+                fd = os.open(self._root_prefix + meta.file, os.O_RDONLY)
+                try:
+                    # Eight bytes asked for: more than four back means
+                    # the file grew past its committed size.
+                    trailer = os.pread(fd, 8, meta.nbytes - 4)
+                finally:
+                    os.close(fd)
+            except FileNotFoundError:
+                raise WarehouseError(
+                    f"committed segment {meta.seg_id} missing on disk: "
+                    f"{meta.file}") from None
+            except OSError:
+                trailer = b""
+            if len(trailer) == 4 and \
+                    int.from_bytes(trailer, "little") == cached.crc:
+                self.cache_hits_total += 1
+                return cached
         cols = self._decode_segment(meta, ColumnarSegment.from_bytes)
         self._columns[meta.seg_id] = cols
         self.cache_misses_total += 1
@@ -538,9 +538,9 @@ class Warehouse:
         # work for the next sweep.  Mirror copies die with their
         # primaries.
         for rel in list(self.index.dead_files):
-            durable.unlink(self.root / rel)
+            durable.unlink(self._root_prefix + rel)
             if self.mirror is not None:
-                durable.unlink(self.mirror / rel)
+                durable.unlink(self._mirror_prefix + rel)
             self.index.dead_files.discard(rel)
 
     def _sweep_orphans(self) -> None:
@@ -577,10 +577,9 @@ class Warehouse:
         return None
 
     def _verify_segment(self, meta: SegmentMeta) -> Optional[str]:
-        path = self.root / meta.file
         try:
-            data = path.read_bytes()
-        except (FileNotFoundError, OSError):
+            data = self._read(self._root_prefix + meta.file)
+        except OSError:
             return "missing from disk"
         return self._verify_payload(meta, data)
 
@@ -646,10 +645,9 @@ class Warehouse:
         # Lock held.  Returns None on success, else why the mirror copy
         # was rejected.  The mirror bytes must pass the exact checks
         # the primary just failed before they are promoted.
-        mirror_path = self.mirror / meta.file
         try:
-            data = mirror_path.read_bytes()
-        except (FileNotFoundError, OSError):
+            data = self._read(self._mirror_prefix + meta.file)
+        except OSError:
             return "missing from mirror tree"
         reason = self._verify_payload(meta, data)
         if reason is not None:

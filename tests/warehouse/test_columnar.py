@@ -1,11 +1,11 @@
-"""Tests for the columnar segment engine behind warehouse queries.
+"""Tests for the cached-segment merge engine behind warehouse queries.
 
 The engine exists for speed, but its license to exist is byte
-determinism: decoding a segment into flat arrays and merging those
-arrays must reproduce ``ProfileSet.merged`` over the decoded sets
+determinism: caching a segment's decoded rows and folding those rows
+must reproduce ``ProfileSet.merged`` over the decoded sets
 bit-for-bit — through layer/op filters, resid folding, tiered
 compaction, and a directory reopen.  These tests pin that contract,
-plus the decoded-columns cache that makes repeated queries cheap.
+plus the decoded-segment cache that makes repeated queries cheap.
 """
 
 import random
@@ -207,7 +207,7 @@ class TestColumnarMerge:
 
 
 class TestEngineParity:
-    """The columnar engine agrees byte-for-byte with ``ProfileSet.merged``
+    """The merge engine agrees byte-for-byte with ``ProfileSet.merged``
     over per-segment decodes, on live and compacted disk state."""
 
     def fill(self, wh, seeds):
@@ -315,4 +315,18 @@ class TestColumnCache:
         (tmp_path / meta.file).write_bytes(b"OS")
         with pytest.raises(WarehouseError,
                            match="damaged: not a binary osprof profile"):
+            wh.load_columns(wh.segments("web")[0])
+
+    def test_grown_file_on_a_cache_hit_reports_damage(self, tmp_path):
+        # Grown, the file still ends in the cached CRC, so a trailer
+        # check at the end of the file would serve the stale entry; the
+        # check at the committed size sees more bytes than a trailer.
+        wh = Warehouse(tmp_path)
+        meta = wh.ingest("web", random_pset(7))
+        wh.query("web")
+        blob = (tmp_path / meta.file).read_bytes()
+        (tmp_path / meta.file).write_bytes(
+            blob + b"\0" * 6 + blob[-4:])
+        with pytest.raises(WarehouseError,
+                           match="damaged: binary profile CRC mismatch"):
             wh.load_columns(wh.segments("web")[0])
