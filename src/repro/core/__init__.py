@@ -25,7 +25,7 @@ from .layers import LayerStack, isolate_layer
 from .locking import LossySharedBuckets, PerThreadBuckets
 from .profile import Layer, Profile
 from .profileset import ProfileSet
-from .profiler import NOMINAL_HZ, Profiler, RequestToken, tsc_clock
+from .profiler import NOMINAL_HZ, Profiler, tsc_clock
 from .sampling import SampledProfiler, SampledProfileSeries
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "LayerStack", "isolate_layer",
     "LossySharedBuckets", "PerThreadBuckets",
     "Layer", "Profile", "ProfileSet",
-    "NOMINAL_HZ", "Profiler", "RequestToken", "tsc_clock",
+    "NOMINAL_HZ", "Profiler", "tsc_clock",
     "SampledProfiler", "SampledProfileSeries",
 ]

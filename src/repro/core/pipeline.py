@@ -45,7 +45,6 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 from .buckets import BucketSpec
 from .profile import Layer
 from .profileset import ProfileSet
-from .profiler import TokenFinishedError, tsc_clock
 from .sampling import SampledProfiler
 
 __all__ = [
@@ -71,6 +70,17 @@ DEFAULT_BATCH_SIZE = 8192
 
 #: One buffered event: (operation, start, latency, context).
 Event = Tuple[str, float, float, Optional["RequestContext"]]
+
+
+class TokenFinishedError(RuntimeError):
+    """A probe token was finished twice.
+
+    Each token represents exactly one in-flight request; a double finish
+    means the instrumentation's entry/exit pairing is broken (the
+    C library's equivalent would be a mismatched FSPROF_POST).  Subclass
+    of :class:`RuntimeError` for backward compatibility with callers
+    that caught the old generic error.
+    """
 
 
 class RequestContext:
@@ -205,24 +215,29 @@ class ProfileSink(EventSink):
     ``target`` is either a ProfileSet or a zero-argument callable
     returning one — the callable form tracks a
     :class:`~repro.core.profiler.Profiler` across ``reset()``, which
-    replaces its underlying set.
+    replaces its underlying set.  A callable returning ``None`` drops
+    the batch being drained: that is how a disabled profiler discards
+    samples without a check on the record path.
     """
 
     def __init__(self, target: Union[ProfileSet,
-                                     Callable[[], ProfileSet]]):
+                                     Callable[[], Optional[ProfileSet]]]):
         if isinstance(target, ProfileSet):
-            self._resolve: Callable[[], ProfileSet] = lambda: target
+            self._resolve: Callable[[], Optional[ProfileSet]] = \
+                lambda: target
         else:
             self._resolve = target
         self.events_consumed = 0
 
     @property
-    def profiles(self) -> ProfileSet:
+    def profiles(self) -> Optional[ProfileSet]:
         return self._resolve()
 
     def consume(self, layer: str, events: List[Event]) -> None:
         self.events_consumed += len(events)
-        _accumulate(self._resolve(), layer, events)
+        pset = self._resolve()
+        if pset is not None:
+            _accumulate(pset, layer, events)
 
 
 class SamplingSink(EventSink):
@@ -482,7 +497,7 @@ class ProbePoint:
             return
         if latency < 0.0:
             # Clock skew across CPUs (§3.4) can make latencies negative;
-            # clamp so they land in bucket 0, as the per-sample path did.
+            # clamp so they land in bucket 0.
             latency = 0.0
         buffer = self._buffers[cpu]
         buffer.append((self, operation, start, latency, context))
@@ -496,15 +511,13 @@ class ProbePoint:
         if fast is None:
             return
         sink = self.sinks[0]
-        pset = sink.profiles
-        profile = pset.profile
+        pset = sink.profiles  # None: the sink drops this drain
         layer = self.layer
         total = 0
         for groups in fast:
-            if not groups:
-                continue
             for op, lats in groups.items():
-                profile(op, layer).histogram.add_many(lats)
+                if pset is not None:
+                    pset.profile(op, layer).histogram.add_many(lats)
                 total += len(lats)
             groups.clear()
         if total:
@@ -718,15 +731,17 @@ def wire_probe(pipeline: Pipeline, layer: str,
     """Build a probe feeding a Profiler and/or SampledProfiler.
 
     This is the standard layer wiring: the profiler's ProfileSet gets a
-    :class:`ProfileSink` (resolved through the profiler so ``reset()``
-    keeps working), the sampled profiler a :class:`SamplingSink`, and
-    both get the pipeline's flush attached so reading results always
-    observes drained buffers.  With neither target and no extra sinks
+    :class:`ProfileSink` (resolved through the profiler, so ``reset()``
+    keeps working and a disabled profiler drops what drains), the
+    sampled profiler a :class:`SamplingSink`, and both get the
+    pipeline's flush attached so reading results always observes
+    drained buffers.  With neither target and no extra sinks
     the probe gets a :class:`NullSink` — the measured-zero off variant.
     """
     sinks: List[EventSink] = []
     if profiler is not None:
-        sinks.append(ProfileSink(lambda: profiler.profiles))
+        sinks.append(ProfileSink(
+            lambda: profiler.profiles if profiler.enabled else None))
     if sampled is not None:
         sinks.append(SamplingSink(sampled))
     sinks.extend(extra_sinks)

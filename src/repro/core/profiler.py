@@ -18,29 +18,17 @@ from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, ContextManager, Optional
 
 from .buckets import BucketSpec
+from .pipeline import Pipeline, ProbeToken, wire_probe
 from .profile import Layer
 from .profileset import ProfileSet
 
-__all__ = ["Profiler", "RequestToken", "TokenFinishedError", "tsc_clock",
-           "NOMINAL_HZ"]
+__all__ = ["Profiler", "tsc_clock", "NOMINAL_HZ"]
 
 #: Nominal frequency of the paper's test machine (1.7 GHz Pentium 4).
 NOMINAL_HZ = 1.7e9
-
-
-class TokenFinishedError(RuntimeError):
-    """A request/probe token was finished twice.
-
-    Each token represents exactly one in-flight request; a double finish
-    means the instrumentation's entry/exit pairing is broken (the
-    C library's equivalent would be a mismatched FSPROF_POST).  Subclass
-    of :class:`RuntimeError` for backward compatibility with callers
-    that caught the old generic error.
-    """
 
 
 def tsc_clock(hz: float = NOMINAL_HZ) -> Callable[[], float]:
@@ -57,22 +45,6 @@ def tsc_clock(hz: float = NOMINAL_HZ) -> Callable[[], float]:
     return read
 
 
-class RequestToken:
-    """Context variable holding a request's start timestamp.
-
-    The C library "store[s] request start times in context variables"
-    (Section 4); this object is that variable.  Tokens are cheap, may be
-    held across blocking calls, and each may be finished exactly once.
-    """
-
-    __slots__ = ("operation", "start", "_done")
-
-    def __init__(self, operation: str, start: float):
-        self.operation = operation
-        self.start = start
-        self._done = False
-
-
 class Profiler:
     """Latency profiler writing into a :class:`ProfileSet`.
 
@@ -84,67 +56,64 @@ class Profiler:
     * the :meth:`request` context manager,
     * the :meth:`wrap` decorator, which instruments a callable the way
       FoSgen instruments a VFS operation.
+
+    All three record through the profiler's own single-CPU
+    :class:`~repro.core.pipeline.ProbePoint`, the same batched path
+    every simulated layer uses, so the token, the negative-latency
+    clamp and the double-finish check exist once, in the pipeline.
     """
 
     def __init__(self, name: str = "", layer: str = Layer.FILESYSTEM,
                  clock: Optional[Callable[[], float]] = None,
-                 spec: Optional[BucketSpec] = None,
-                 enabled: bool = True):
+                 spec: Optional[BucketSpec] = None):
         self.layer = layer
         self.clock = clock if clock is not None else tsc_clock()
         self.profiles = ProfileSet(name=name, spec=spec)
-        self.enabled = enabled
-        #: Overhead accounting: number of begin/end pairs processed.
-        self.requests_profiled = 0
+        self._enabled = True
         self._flush_hooks = []
+        self._probe = wire_probe(Pipeline(), layer, profiler=self,
+                                 clock=self.clock, name=name)
+
+    @property
+    def enabled(self) -> bool:
+        """Whether samples are kept: the /proc enable/disable switch.
+
+        Samples are dropped when they drain, not when they are taken,
+        so the switch flushes first: whatever was taken before it keeps
+        the old state.  This holds for the profiler's own probe and for
+        every simulated layer's probe wired to it.
+        """
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._flush()
+        self._enabled = value
 
     # -- core instrumentation ---------------------------------------------
 
-    def begin(self, operation: str) -> RequestToken:
+    def begin(self, operation: str) -> ProbeToken:
         """FSPROF_PRE: read the cycle counter and remember it."""
-        return RequestToken(operation, self.clock())
+        return self._probe.enter(operation)
 
-    def end(self, token: RequestToken) -> Optional[float]:
+    def end(self, token: ProbeToken) -> Optional[float]:
         """FSPROF_POST: compute the latency and bucket it.
 
         Returns the measured latency in cycles, or ``None`` when the
         profiler is disabled.  Finishing a token twice is an
-        instrumentation bug and raises.
+        instrumentation bug and raises
+        :class:`~repro.core.pipeline.TokenFinishedError`.
         """
-        now = self.clock()
-        if token._done:
-            raise TokenFinishedError(
-                f"request token for {token.operation!r} finished twice")
-        token._done = True
-        if not self.enabled:
-            return None
-        latency = now - token.start
-        if latency < 0:
-            # Clock skew across CPUs (Section 3.4) can make latencies
-            # negative; clamp to zero so they land in bucket 0 instead of
-            # corrupting the histogram.
-            latency = 0.0
-        self.profiles.add(token.operation, latency, layer=self.layer)
-        self.requests_profiled += 1
-        return latency
+        latency = self._probe.exit(token)
+        return latency if self._enabled else None
 
     def record(self, operation: str, latency: float) -> None:
         """Record an externally measured latency (cycles) directly."""
-        if not self.enabled:
-            return
-        if latency < 0:
-            latency = 0.0
-        self.profiles.add(operation, latency, layer=self.layer)
-        self.requests_profiled += 1
+        self._probe.record(operation, latency)
 
-    @contextmanager
-    def request(self, operation: str) -> Iterator[RequestToken]:
+    def request(self, operation: str) -> ContextManager[ProbeToken]:
         """Profile the body of a ``with`` block as one request."""
-        token = self.begin(operation)
-        try:
-            yield token
-        finally:
-            self.end(token)
+        return self._probe.request(operation)
 
     def wrap(self, operation: Optional[str] = None) -> Callable:
         """Decorator instrumenting a callable as a profiled operation.
@@ -158,11 +127,8 @@ class Profiler:
 
             @functools.wraps(func)
             def wrapper(*args, **kwargs):
-                token = self.begin(opname)
-                try:
+                with self.request(opname):
                     return func(*args, **kwargs)
-                finally:
-                    self.end(token)
 
             return wrapper
 
@@ -174,8 +140,9 @@ class Profiler:
         """Register a hook run before results are read or reset.
 
         The probe/event pipeline defers histogram insertion into per-CPU
-        batch buffers; its flush is attached here so ``profile_set()``
-        and ``reset()`` always observe a fully drained profile.
+        batch buffers; its flush is attached here so ``profile_set()``,
+        ``reset()`` and the ``enabled`` switch always observe a fully
+        drained profile.
         """
         self._flush_hooks.append(hook)
 
@@ -193,7 +160,6 @@ class Profiler:
         self._flush()
         self.profiles = ProfileSet(name=self.profiles.name,
                                    spec=self.profiles.spec)
-        self.requests_profiled = 0
 
     def measurement_overhead(self, samples: int = 10000) -> float:
         """Measure the in-profile overhead: cycles between the two clock reads.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.pipeline import Pipeline, ProbePoint, wire_probe
+from ..core.pipeline import Pipeline, wire_probe
 from ..core.profile import Layer
 from ..core.profiler import Profiler
 from ..sim.process import ProcBody
@@ -38,21 +38,18 @@ class ScsiDriver:
 
     def __init__(self, kernel: Kernel, disk: Disk,
                  profiler: Optional[Profiler] = None,
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None):
+                 pipeline: Optional[Pipeline] = None):
         self.kernel = kernel
         self.disk = disk
         if profiler is None:
             profiler = Profiler(name="scsi", layer=Layer.DRIVER,
                                 clock=lambda: kernel.now)
         self.profiler = profiler
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            probe = wire_probe(owner, profiler.layer, profiler=profiler,
-                               name="driver")
-        self.probe_point = probe
-        self.pipeline = probe.pipeline
+        if pipeline is None:
+            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+        self.probe_point = wire_probe(pipeline, profiler.layer,
+                                      profiler=profiler, name="driver")
+        self.pipeline = pipeline
         disk.on_complete.append(self._completed)
 
     def _completed(self, request: DiskRequest) -> None:

@@ -45,21 +45,18 @@ class FilterDriver:
 
     def __init__(self, kernel: Kernel, fs: FileSystem,
                  profiler: Optional[Profiler] = None,
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None):
+                 pipeline: Optional[Pipeline] = None):
         self.kernel = kernel
         self.fs = fs
         if profiler is None:
             profiler = Profiler(name="filter", layer=Layer.FILESYSTEM,
                                 clock=lambda: kernel.now)
         self.profiler = profiler
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            probe = wire_probe(owner, profiler.layer, profiler=profiler,
-                               name="filter")
-        self.probe_point = probe
-        self.pipeline = probe.pipeline
+        if pipeline is None:
+            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+        self.probe_point = wire_probe(pipeline, profiler.layer,
+                                      profiler=profiler, name="filter")
+        self.pipeline = pipeline
         self.irps_seen = 0
         self.fastio_seen = 0
 

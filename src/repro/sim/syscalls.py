@@ -65,8 +65,7 @@ class SyscallLayer:
                  sampled: Optional[SampledProfiler] = None,
                  syscall_cost: float = DEFAULT_SYSCALL_COST,
                  instrumentation: str = "full",
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None):
+                 pipeline: Optional[Pipeline] = None):
         if instrumentation not in self.VARIANTS:
             raise ValueError(f"instrumentation must be one of {self.VARIANTS}")
         self.kernel = kernel
@@ -75,15 +74,14 @@ class SyscallLayer:
         self.syscall_cost = syscall_cost
         self.instrumentation = instrumentation
         self.calls = 0
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            layer_label = profiler.layer if profiler is not None \
-                else Layer.USER
-            probe = wire_probe(owner, layer_label, profiler=profiler,
-                               sampled=sampled, name="syscall")
-        self.probe_point = probe
-        self.pipeline = probe.pipeline
+        if pipeline is None:
+            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+        layer_label = profiler.layer if profiler is not None \
+            else Layer.USER
+        self.probe_point = wire_probe(pipeline, layer_label,
+                                      profiler=profiler, sampled=sampled,
+                                      name="syscall")
+        self.pipeline = pipeline
 
     def _hook_cost(self) -> float:
         """CPU cycles one PRE or POST hook burns, per the variant."""

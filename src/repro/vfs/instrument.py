@@ -36,8 +36,8 @@ class FsInstrument:
     (hooks + TSC reads, nothing stored), ``full`` (the real profiler).
 
     Events emit through a :class:`~repro.core.pipeline.ProbePoint`;
-    pass ``probe`` (or ``pipeline`` plus profiler/sampled targets) to
-    share one machine-wide pipeline, or ``sinks`` for custom routing.
+    pass ``pipeline`` plus profiler/sampled targets to share one
+    machine-wide pipeline, and ``sinks`` for custom routing.
     With no targets at all the probe is wired to a
     :class:`~repro.core.pipeline.NullSink` and the record path is
     deactivated entirely.
@@ -50,7 +50,6 @@ class FsInstrument:
                  sampled: Optional[SampledProfiler] = None,
                  variant: str = "full",
                  pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None,
                  sinks: Sequence[EventSink] = ()):
         if variant not in self.VARIANTS:
             raise ValueError(f"variant must be one of {self.VARIANTS}")
@@ -59,16 +58,14 @@ class FsInstrument:
         self.sampled = sampled
         self.variant = variant
         self.operations_profiled = 0
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            layer_label = profiler.layer if profiler is not None \
-                else Layer.FILESYSTEM
-            probe = wire_probe(owner, layer_label, profiler=profiler,
-                               sampled=sampled, extra_sinks=sinks,
-                               name="fs")
-        self.probe_point = probe
-        self.pipeline = probe.pipeline
+        if pipeline is None:
+            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+        layer_label = profiler.layer if profiler is not None \
+            else Layer.FILESYSTEM
+        self.probe_point = wire_probe(pipeline, layer_label,
+                                      profiler=profiler, sampled=sampled,
+                                      extra_sinks=sinks, name="fs")
+        self.pipeline = pipeline
 
     def _hook_cost(self) -> float:
         if self.variant == "off":

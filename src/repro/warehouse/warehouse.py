@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from ..core import durable
 from ..core.faults import FaultPlan
-from ..core.profileset import ProfileSet
+from ..core.profileset import ProfileSet, parse_binary
 from ..sampling.stateprofile import StateProfile
 from .columnar import ColumnarSegment, merged_profile_set
 from .index import SegmentMeta, WarehouseIndex
@@ -568,8 +568,10 @@ class Warehouse:
         if meta.crc is not None and \
                 int.from_bytes(data[-4:], "little") != meta.crc:
             return "CRC trailer differs from the committed record"
+        # parse_binary runs every check ProfileSet.from_bytes does,
+        # without folding a set that would be thrown away.
         decode = StateProfile.from_bytes if meta.kind == "samples" \
-            else ProfileSet.from_bytes
+            else parse_binary
         try:
             decode(data)
         except ValueError as exc:

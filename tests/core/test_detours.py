@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.detours import InterceptionError, Interceptor
 
+from ..clock import FakeClock
+
 
 class Workload:
     """A 'closed-source' object to be profiled without modification."""
@@ -19,14 +21,6 @@ class Workload:
         return len(data)
 
     value = 42  # not callable
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 class TestAttach:

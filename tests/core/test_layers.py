@@ -5,13 +5,7 @@ import pytest
 from repro.core.layers import LayerStack, isolate_layer
 from repro.core.profile import Profile
 
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 class TestLayerStack:

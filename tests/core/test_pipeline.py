@@ -18,15 +18,7 @@ from repro.core.profiler import Profiler
 from repro.core.profileset import ProfileSet
 from repro.core.sampling import SampledProfiler
 
-
-class ManualClock:
-    """A settable clock for exercising entry/exit timing."""
-
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 def fake_proc():
@@ -62,7 +54,7 @@ class TestRequestContext:
 
 class TestProbePoint:
     def test_enter_exit_records_latency(self):
-        clock = ManualClock()
+        clock = FakeClock()
         pipeline = Pipeline()
         pset = ProfileSet(name="t")
         probe = pipeline.probe(Layer.USER, ProfileSink(pset), clock=clock)
@@ -77,7 +69,7 @@ class TestProbePoint:
     def test_exit_twice_raises_token_finished(self):
         pipeline = Pipeline()
         probe = pipeline.probe(Layer.USER, ProfileSink(ProfileSet()),
-                               clock=ManualClock())
+                               clock=FakeClock())
         token = probe.enter("read")
         probe.exit(token)
         with pytest.raises(TokenFinishedError):
@@ -87,7 +79,7 @@ class TestProbePoint:
         # Cross-CPU TSC skew can make exit read an earlier timestamp
         # than entry; the sample must land in bucket 0, not corrupt the
         # histogram with a negative latency.
-        clock = ManualClock(now=1000.0)
+        clock = FakeClock(now=1000.0)
         pipeline = Pipeline()
         pset = ProfileSet(name="t")
         probe = pipeline.probe(Layer.USER, ProfileSink(pset), clock=clock)
@@ -153,10 +145,10 @@ class TestProbePoint:
 
 
 class TestProfilerTokens:
-    """Satellite: RequestToken double-finish / clock-rollback semantics."""
+    """Profiler tokens are probe tokens: double finish, clock rollback."""
 
     def test_double_finish_raises_token_finished_error(self):
-        profiler = Profiler(clock=ManualClock())
+        profiler = Profiler(clock=FakeClock())
         token = profiler.begin("read")
         profiler.end(token)
         with pytest.raises(TokenFinishedError,
@@ -168,7 +160,7 @@ class TestProfilerTokens:
         assert issubclass(TokenFinishedError, RuntimeError)
 
     def test_finish_after_clock_rollback_lands_in_bucket_zero(self):
-        clock = ManualClock(now=5000.0)
+        clock = FakeClock(now=5000.0)
         profiler = Profiler(clock=clock)
         token = profiler.begin("read")
         clock.now = 100.0
@@ -180,7 +172,7 @@ class TestProfilerTokens:
 class TestWireProbe:
     def test_profile_set_read_flushes_pipeline(self):
         pipeline = Pipeline()
-        profiler = Profiler(name="t", clock=ManualClock())
+        profiler = Profiler(name="t", clock=FakeClock())
         probe = wire_probe(pipeline, Layer.USER, profiler=profiler)
         probe.record("read", 12.0)
         # No explicit flush: reading results must drain the buffers.
@@ -188,7 +180,7 @@ class TestWireProbe:
 
     def test_reset_keeps_sink_targeting_current_set(self):
         pipeline = Pipeline()
-        profiler = Profiler(name="t", clock=ManualClock())
+        profiler = Profiler(name="t", clock=FakeClock())
         probe = wire_probe(pipeline, Layer.USER, profiler=profiler)
         probe.record("read", 12.0)
         profiler.reset()
@@ -196,8 +188,22 @@ class TestWireProbe:
         probe.record("read", 30.0)
         assert profiler.profile_set().total_ops() == 1
 
+    def test_disabled_profiler_drops_generic_path_drains(self):
+        # A global sink forces the generic event path; the disabled
+        # profiler's ProfileSink drops its drain, the trace does not.
+        pipeline = Pipeline()
+        trace = TraceSink()
+        pipeline.add_global_sink(trace)
+        profiler = Profiler(name="t", clock=FakeClock())
+        probe = wire_probe(pipeline, Layer.USER, profiler=profiler)
+        probe.record("read", 12.0)
+        profiler.enabled = False
+        probe.record("read", 30.0)
+        assert profiler.profile_set().total_ops() == 1
+        assert len(trace.events) == 2
+
     def test_sampled_series_read_flushes_pipeline(self):
-        clock = ManualClock()
+        clock = FakeClock()
         pipeline = Pipeline()
         sampled = SampledProfiler(clock=clock, interval=100.0, name="t")
         probe = wire_probe(pipeline, Layer.FILESYSTEM, sampled=sampled)
@@ -214,24 +220,24 @@ class TestWireProbe:
     @given(st.lists(st.floats(min_value=0, max_value=1e12),
                     min_size=1, max_size=300))
     def test_batched_profile_bytes_match_per_sample_path(self, latencies):
-        # The tentpole invariant: deferring histogram insertion through
+        # The batching invariant: deferring histogram insertion through
         # the pipeline's batch buffers must not move a single bit of the
-        # canonical encoding relative to the per-sample Profiler path.
-        clock = ManualClock()
-        per_sample = Profiler(name="x", layer=Layer.USER, clock=clock)
+        # canonical encoding relative to the per-sample path.  Profiler
+        # records through a probe itself, so the per-sample reference is
+        # spelled out here: one clamped ProfileSet.add per sample.
+        per_sample = ProfileSet(name="x")
         pipeline = Pipeline(batch_size=16)
-        batched = Profiler(name="x", layer=Layer.USER, clock=clock)
+        batched = Profiler(name="x", layer=Layer.USER, clock=FakeClock())
         probe = wire_probe(pipeline, Layer.USER, profiler=batched)
         for i, latency in enumerate(latencies):
-            per_sample.record(f"op{i % 3}", latency)
+            per_sample.add(f"op{i % 3}", max(latency, 0.0), layer=Layer.USER)
             probe.record(f"op{i % 3}", latency)
-        assert batched.profile_set().to_bytes() == \
-            per_sample.profile_set().to_bytes()
+        assert batched.profile_set().to_bytes() == per_sample.to_bytes()
 
 
 class TestSamplingSink:
     def test_attributes_sample_to_start_segment(self):
-        clock = ManualClock()
+        clock = FakeClock()
         sampled = SampledProfiler(clock=clock, interval=100.0, name="t")
         pipeline = Pipeline()
         probe = pipeline.probe(Layer.FILESYSTEM, SamplingSink(sampled))
@@ -247,7 +253,7 @@ class TestSamplingSink:
         # pipeline's batch buffers must leave every segment
         # byte-identical to recording the same (start, latency) stream
         # straight into a SampledProfiler.
-        clock = ManualClock()
+        clock = FakeClock()
         direct = SampledProfiler(clock=clock, interval=100.0, name="x")
         batched = SampledProfiler(clock=clock, interval=100.0, name="x")
         pipeline = Pipeline(batch_size=8)
@@ -269,7 +275,7 @@ class TestSamplingSink:
         # Fault injection: a pre-epoch event makes the SamplingSink's
         # consume() raise.  Under a FanoutSink the failure is counted
         # and the neighboring profile sink still sees every event.
-        clock = ManualClock(now=1000.0)
+        clock = FakeClock(now=1000.0)
         sampled = SampledProfiler(clock=clock, interval=100.0, name="t")
         pset = ProfileSet(name="t")
         fan = FanoutSink([SamplingSink(sampled), ProfileSink(pset)])
@@ -286,7 +292,7 @@ class TestSamplingSink:
     def test_fanout_survives_sampling_neighbor_raising(self):
         # The converse: the sampler keeps sampling when its neighbor
         # (a dead stream connection, say) throws on every batch.
-        clock = ManualClock()
+        clock = FakeClock()
         sampled = SampledProfiler(clock=clock, interval=100.0, name="t")
         fan = FanoutSink([RaisingSink(), SamplingSink(sampled)])
         pipeline = Pipeline()

@@ -5,13 +5,7 @@ import pytest
 from repro.core.procfs import PROC_ROOT, ProcFs
 from repro.core.profiler import Profiler
 
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 @pytest.fixture
@@ -104,3 +98,35 @@ class TestFileInterface:
         path = procfs.register("fs", make_profiler(clock))
         with pytest.raises(ValueError):
             procfs.write(path, "explode")
+
+
+class TestSimulatedLayerControl:
+    """enable/disable reaches the probes of a simulated machine."""
+
+    def test_disable_stops_a_simulated_layer(self):
+        from repro.system import System
+        from repro.workloads.microbench import zero_byte_read_body
+
+        system = System.build(with_timer=False)
+        inode = system.tree.mkfile(system.root, "empty", 0)
+
+        def phase(iterations=100):
+            proc = system.kernel.spawn(
+                lambda p: zero_byte_read_body(system, p, inode, iterations),
+                "zbr")
+            system.run([proc])
+
+        def ops(layer):
+            return system.procfs.snapshot(f"{PROC_ROOT}/{layer}").total_ops()
+
+        phase()
+        fs_ops, user_ops = ops("fs"), ops("user")
+        assert fs_ops > 0 and user_ops == 100
+        system.procfs.write(f"{PROC_ROOT}/fs", "disable")
+        phase()
+        assert ops("fs") == fs_ops
+        assert ops("user") == 200
+        system.procfs.write(f"{PROC_ROOT}/fs", "enable")
+        phase()
+        assert ops("fs") == 2 * fs_ops
+        assert ops("user") == 300

@@ -4,18 +4,7 @@ import pytest
 
 from repro.core.profiler import Profiler, tsc_clock
 
-
-class FakeClock:
-    """A controllable cycle counter."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, cycles):
-        self.now += cycles
+from ..clock import FakeClock
 
 
 @pytest.fixture
@@ -34,7 +23,7 @@ class TestBeginEnd:
         clock.advance(1000)
         latency = profiler.end(token)
         assert latency == 1000
-        assert profiler.profiles["read"].count(9) == 1
+        assert profiler.profile_set()["read"].count(9) == 1
 
     def test_double_end_raises(self, profiler, clock):
         token = profiler.begin("read")
@@ -50,8 +39,9 @@ class TestBeginEnd:
         profiler.end(inner)
         clock.advance(100)
         profiler.end(outer)
-        assert profiler.profiles["readpage"].total_latency == 1000
-        assert profiler.profiles["readdir"].total_latency == 1200
+        profiles = profiler.profile_set()
+        assert profiles["readpage"].total_latency == 1000
+        assert profiles["readdir"].total_latency == 1200
 
     def test_negative_latency_clamped(self, profiler, clock):
         # Clock skew across CPUs can produce negative deltas (§3.4).
@@ -59,28 +49,41 @@ class TestBeginEnd:
         clock.now = -50
         latency = profiler.end(token)
         assert latency == 0.0
-        assert profiler.profiles["read"].count(0) == 1
+        assert profiler.profile_set()["read"].count(0) == 1
 
     def test_disabled_profiler_records_nothing(self, clock):
-        prof = Profiler(clock=clock, enabled=False)
+        prof = Profiler(clock=clock)
+        prof.enabled = False
         token = prof.begin("read")
         clock.advance(10)
         assert prof.end(token) is None
-        assert len(prof.profiles) == 0
+        prof.record("write", 10)
+        assert len(prof.profile_set()) == 0
+
+    def test_disable_keeps_samples_taken_before_it(self, profiler, clock):
+        # The switch flushes first: a buffered sample keeps the state
+        # it was taken under, in both directions.
+        with profiler.request("read"):
+            clock.advance(10)
+        profiler.enabled = False
+        with profiler.request("read"):
+            clock.advance(10)
+        profiler.enabled = True
+        assert profiler.profile_set()["read"].total_ops == 1
 
 
 class TestContextManagerAndDecorator:
     def test_request_context_manager(self, profiler, clock):
         with profiler.request("write"):
             clock.advance(500)
-        assert profiler.profiles["write"].total_ops == 1
+        assert profiler.profile_set()["write"].total_ops == 1
 
     def test_request_records_on_exception(self, profiler, clock):
         with pytest.raises(RuntimeError):
             with profiler.request("write"):
                 clock.advance(500)
                 raise RuntimeError("boom")
-        assert profiler.profiles["write"].total_ops == 1
+        assert profiler.profile_set()["write"].total_ops == 1
 
     def test_wrap_uses_function_name(self, profiler, clock):
         @profiler.wrap()
@@ -89,7 +92,7 @@ class TestContextManagerAndDecorator:
             return "ok"
 
         assert fsync() == "ok"
-        assert profiler.profiles["fsync"].total_ops == 1
+        assert profiler.profile_set()["fsync"].total_ops == 1
 
     def test_wrap_with_explicit_name(self, profiler, clock):
         @profiler.wrap("custom")
@@ -97,11 +100,11 @@ class TestContextManagerAndDecorator:
             clock.advance(1)
 
         helper()
-        assert "custom" in profiler.profiles
+        assert "custom" in profiler.profile_set()
 
     def test_record_direct(self, profiler):
         profiler.record("op", 12345)
-        assert profiler.profiles["op"].total_ops == 1
+        assert profiler.profile_set()["op"].total_ops == 1
 
 
 class TestHousekeeping:
@@ -109,14 +112,13 @@ class TestHousekeeping:
         with profiler.request("a"):
             clock.advance(1)
         profiler.reset()
-        assert len(profiler.profiles) == 0
-        assert profiler.requests_profiled == 0
+        assert len(profiler.profile_set()) == 0
 
-    def test_requests_profiled_counts(self, profiler, clock):
+    def test_profile_set_counts_every_request(self, profiler, clock):
         for _ in range(5):
             with profiler.request("x"):
                 clock.advance(1)
-        assert profiler.requests_profiled == 5
+        assert profiler.profile_set().total_ops() == 5
 
     def test_measurement_overhead_positive_with_real_clock(self):
         prof = Profiler(clock=tsc_clock())

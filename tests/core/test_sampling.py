@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.sampling import SampledProfiler, SampledProfileSeries
 
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 @pytest.fixture
