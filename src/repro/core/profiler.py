@@ -57,7 +57,7 @@ class Profiler:
     * the :meth:`wrap` decorator, which instruments a callable the way
       FoSgen instruments a VFS operation.
 
-    All three record through the profiler's own single-CPU
+    All three record through the profiler's own
     :class:`~repro.core.pipeline.ProbePoint`, the same batched path
     every simulated layer uses, so the token, the negative-latency
     clamp and the double-finish check exist once, in the pipeline.
@@ -139,10 +139,10 @@ class Profiler:
     def attach_flush(self, hook: Callable[[], None]) -> None:
         """Register a hook run before results are read or reset.
 
-        The probe/event pipeline defers histogram insertion into per-CPU
-        batch buffers; its flush is attached here so ``profile_set()``,
-        ``reset()`` and the ``enabled`` switch always observe a fully
-        drained profile.
+        The probe/event pipeline defers histogram insertion into each
+        probe's event list; its flush is attached here so
+        ``profile_set()``, ``reset()`` and the ``enabled`` switch always
+        observe a fully drained profile.
         """
         self._flush_hooks.append(hook)
 

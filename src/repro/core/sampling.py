@@ -161,8 +161,8 @@ class SampledProfiler:
     def attach_flush(self, hook: Callable[[], None]) -> None:
         """Register a hook run before :meth:`series` reads results.
 
-        Lets the probe/event pipeline drain its deferred batch buffers
-        so the segment matrix is complete at read time.
+        Lets the probe/event pipeline drain its probes' deferred event
+        lists so the segment matrix is complete at read time.
         """
         self._flush_hooks.append(hook)
 

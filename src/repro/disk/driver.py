@@ -46,7 +46,7 @@ class ScsiDriver:
                                 clock=lambda: kernel.now)
         self.profiler = profiler
         if pipeline is None:
-            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+            pipeline = Pipeline()
         self.probe_point = wire_probe(pipeline, profiler.layer,
                                       profiler=profiler, name="driver")
         self.pipeline = pipeline

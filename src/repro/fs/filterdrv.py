@@ -53,7 +53,7 @@ class FilterDriver:
                                 clock=lambda: kernel.now)
         self.profiler = profiler
         if pipeline is None:
-            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+            pipeline = Pipeline()
         self.probe_point = wire_probe(pipeline, profiler.layer,
                                       profiler=profiler, name="filter")
         self.pipeline = pipeline
@@ -69,13 +69,13 @@ class FilterDriver:
         return "IRP"
 
     def _record(self, kind: str, major: str, latency: float,
-                start: float = 0.0, context=None, cpu: int = 0) -> None:
+                start: float = 0.0, context=None) -> None:
         if kind == "FASTIO":
             self.fastio_seen += 1
         else:
             self.irps_seen += 1
         self.probe_point.record(f"{kind}_{major}", latency, start=start,
-                          context=context, cpu=cpu)
+                                context=context)
 
     def _intercept(self, proc: Process, kind: str, major: str,
                    body: ProcBody) -> ProcBody:
@@ -88,8 +88,7 @@ class FilterDriver:
         finally:
             self._record(kind, major,
                          self.kernel.read_tsc(proc) - start,
-                         start=start, context=context,
-                         cpu=proc.cpu if proc.cpu is not None else 0)
+                         start=start, context=context)
             if context is not None:
                 ProbePoint.pop_context(proc, context)
         return result

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.process import CpuBurst, ProcBody, Process
-from ..vfs.file import File, SEEK_CUR, SEEK_END, SEEK_SET
+from ..vfs.file import File
 from .ext2 import Ext2
 
 __all__ = ["Ntfs", "IRP_OVERHEAD", "FASTIO_OVERHEAD"]
@@ -84,17 +84,7 @@ class Ntfs(Ext2):
         """Pure user-visible position update: no inode lock at all."""
         file.require_open()
         yield CpuBurst(self.kernel.rng.jitter(120.0, sigma=0.25))
-        if whence == SEEK_SET:
-            file.pos = offset
-        elif whence == SEEK_CUR:
-            file.pos += offset
-        elif whence == SEEK_END:
-            file.pos = file.inode.size + offset
-        else:
-            raise ValueError(f"bad whence {whence}")
-        if file.pos < 0:
-            raise ValueError("seek before start of file")
-        return file.pos
+        return file.seek(offset, whence)
 
     def fastio_fraction(self) -> float:
         """Share of reads served via Fast I/O (cache-warm workloads -> 1)."""

@@ -95,10 +95,6 @@ class CifsClient(FileSystem):
         #: peaks expose the delayed-ACK pathology directly.
         self.probe_point = probe
 
-    def attach_probe(self, probe) -> None:
-        """Wire the network-level probe (see ``net.mount``)."""
-        self.probe_point = probe
-
     # -- transport ----------------------------------------------------------
 
     def _on_packet(self, packet) -> None:
@@ -127,8 +123,7 @@ class CifsClient(FileSystem):
             name = type(request).__name__
             probe.record(_SMB_OPS.get(name, "smb_" + name.lower()),
                          self.kernel.now - start, start=start,
-                         context=proc.request_context,
-                         cpu=proc.cpu if proc.cpu is not None else 0)
+                         context=proc.request_context)
         return reply
 
     def _mid(self) -> int:
@@ -225,13 +220,4 @@ class CifsClient(FileSystem):
         """Purely client-local: Windows leaves position consistency to
         applications (Section 6.1 found no CIFS lock contention)."""
         yield CpuBurst(self.kernel.rng.jitter(120.0, sigma=0.25))
-        from ..vfs.file import SEEK_CUR, SEEK_END, SEEK_SET
-        if whence == SEEK_SET:
-            file.pos = offset
-        elif whence == SEEK_CUR:
-            file.pos += offset
-        elif whence == SEEK_END:
-            file.pos = file.inode.size + offset
-        else:
-            raise ValueError(f"bad whence {whence}")
-        return file.pos
+        return file.seek(offset, whence)

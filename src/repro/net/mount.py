@@ -13,8 +13,9 @@ workloads can resolve the entries FIND transactions return.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.pipeline import wire_probe
 from ..core.profile import Layer
@@ -59,6 +60,48 @@ def _wire_net_probe(client: System, instrumentation: str):
     return probe, profiler
 
 
+def _build_mount(make_client: Callable, make_server: Callable,
+                 scale: float, delayed_ack: bool, seed: int,
+                 tree_seed: int, instrumentation: str) -> CifsMount:
+    """Build client + server + link + shared tree for one protocol.
+
+    ``make_client(kernel, endpoint, inodes, probe=...)`` builds the
+    mounted client file system; ``make_server(kernel, inodes, endpoint)``
+    the server answering it.
+    """
+    # The server's tree lives in a scratch System (its disk/scheduler
+    # are unused; the server is event-driven with modelled service
+    # times), built first so the client can share the inode table.
+    server_host = System.build(fs_type="ext2", seed=seed + 1,
+                               with_timer=False, instrumentation="off")
+    root, stats = build_source_tree(server_host, scale=scale,
+                                    seed=tree_seed)
+
+    client = System.build(fs_type="ext2", seed=seed, with_timer=False,
+                          instrumentation=instrumentation)
+    # Replace the default ext2 with the network mount on the same kernel.
+    sniffer = Sniffer()
+    client_endpoint = TcpEndpoint("client", client.kernel,
+                                  ack_immediately=not delayed_ack)
+    server_endpoint = TcpEndpoint("server", client.kernel,
+                                  ack_immediately=True)
+    connection = TcpConnection(client.kernel, client_endpoint,
+                               server_endpoint, sniffer=sniffer)
+    net_probe, net_profiler = _wire_net_probe(client, instrumentation)
+    fs = make_client(client.kernel, client_endpoint, server_host.inodes,
+                     probe=net_probe)
+    client.fs = fs
+    client.vfs.fs = fs
+    fs.bind(client.vfs)
+    server = make_server(client.kernel, server_host.inodes,
+                         server_endpoint)
+    # Workloads resolve entry inos through the client system.
+    client.inodes = server_host.inodes
+    return CifsMount(client=client, server=server, connection=connection,
+                     sniffer=sniffer, root=root, tree=stats,
+                     net_profiler=net_profiler)
+
+
 def build_cifs_mount(scale: float = 0.02,
                      flavor: str = FLAVOR_WINDOWS,
                      delayed_ack: bool = True,
@@ -72,38 +115,9 @@ def build_cifs_mount(scale: float = 0.02,
     approximation of the fix).  For the Linux flavor the endpoint ACKs
     immediately regardless.
     """
-    # The server's tree lives in a scratch System (its disk/scheduler
-    # are unused; the server is event-driven with modelled service
-    # times), built first so the client can share the inode table.
-    server_host = System.build(fs_type="ext2", seed=seed + 1,
-                               with_timer=False, instrumentation="off")
-    root, stats = build_source_tree(server_host, scale=scale,
-                                    seed=tree_seed)
-
-    client = System.build(fs_type="ext2", seed=seed, with_timer=False,
-                          instrumentation=instrumentation)
-    # Replace the default ext2 with a CIFS mount on the same kernel.
-    sniffer = Sniffer()
-    client_endpoint = TcpEndpoint("client", client.kernel,
-                                  ack_immediately=not delayed_ack)
-    server_endpoint = TcpEndpoint("server", client.kernel,
-                                  ack_immediately=True)
-    connection = TcpConnection(client.kernel, client_endpoint,
-                               server_endpoint, sniffer=sniffer)
-    net_probe, net_profiler = _wire_net_probe(client, instrumentation)
-    cifs = CifsClient(client.kernel, client_endpoint,
-                      server_host.inodes, flavor=flavor,
-                      probe=net_probe)
-    client.fs = cifs
-    client.vfs.fs = cifs
-    cifs.bind(client.vfs)
-    server = CifsServer(client.kernel, server_host.inodes,
-                        server_endpoint)
-    # Workloads resolve entry inos through the client system.
-    client.inodes = server_host.inodes
-    return CifsMount(client=client, server=server, connection=connection,
-                     sniffer=sniffer, root=root, tree=stats,
-                     net_profiler=net_profiler)
+    return _build_mount(functools.partial(CifsClient, flavor=flavor),
+                        CifsServer, scale, delayed_ack, seed, tree_seed,
+                        instrumentation)
 
 
 def build_nfs_mount(scale: float = 0.02,
@@ -119,28 +133,5 @@ def build_nfs_mount(scale: float = 0.02,
     stalls, because the server streams its reply without waiting for
     acknowledgements.
     """
-    server_host = System.build(fs_type="ext2", seed=seed + 1,
-                               with_timer=False, instrumentation="off")
-    root, stats = build_source_tree(server_host, scale=scale,
-                                    seed=tree_seed)
-    client = System.build(fs_type="ext2", seed=seed, with_timer=False,
-                          instrumentation=instrumentation)
-    sniffer = Sniffer()
-    client_endpoint = TcpEndpoint("client", client.kernel,
-                                  ack_immediately=not delayed_ack)
-    server_endpoint = TcpEndpoint("server", client.kernel,
-                                  ack_immediately=True)
-    connection = TcpConnection(client.kernel, client_endpoint,
-                               server_endpoint, sniffer=sniffer)
-    net_probe, net_profiler = _wire_net_probe(client, instrumentation)
-    nfs = NfsClient(client.kernel, client_endpoint,
-                    server_host.inodes, probe=net_probe)
-    client.fs = nfs
-    client.vfs.fs = nfs
-    nfs.bind(client.vfs)
-    server = NfsServer(client.kernel, server_host.inodes,
-                       server_endpoint)
-    client.inodes = server_host.inodes
-    return CifsMount(client=client, server=server, connection=connection,
-                     sniffer=sniffer, root=root, tree=stats,
-                     net_profiler=net_profiler)
+    return _build_mount(NfsClient, NfsServer, scale, delayed_ack, seed,
+                        tree_seed, instrumentation)

@@ -199,10 +199,6 @@ class NfsClient(FileSystem):
         #: ``rpc_<procedure>`` — Figure 2's NIC-adjacent layer.
         self.probe_point = probe
 
-    def attach_probe(self, probe) -> None:
-        """Wire the network-level probe (see ``net.mount``)."""
-        self.probe_point = probe
-
     # -- RPC plumbing --------------------------------------------------------
 
     def _on_packet(self, packet) -> None:
@@ -231,8 +227,7 @@ class NfsClient(FileSystem):
         if probe is not None and probe.active:
             probe.record(f"rpc_{procedure.lower()}",
                          self.kernel.now - start, start=start,
-                         context=proc.request_context,
-                         cpu=proc.cpu if proc.cpu is not None else 0)
+                         context=proc.request_context)
         return reply.result
 
     # -- attribute cache ---------------------------------------------------------
@@ -313,15 +308,5 @@ class NfsClient(FileSystem):
     def llseek(self, proc: Process, file: File, offset: int,
                whence: int) -> ProcBody:
         """Client-local, like every network FS position update."""
-        from ..vfs.file import SEEK_CUR, SEEK_END, SEEK_SET
-
         yield CpuBurst(self.kernel.rng.jitter(130.0, sigma=0.25))
-        if whence == SEEK_SET:
-            file.pos = offset
-        elif whence == SEEK_CUR:
-            file.pos += offset
-        elif whence == SEEK_END:
-            file.pos = file.inode.size + offset
-        else:
-            raise ValueError(f"bad whence {whence}")
-        return file.pos
+        return file.seek(offset, whence)

@@ -75,7 +75,7 @@ class SyscallLayer:
         self.instrumentation = instrumentation
         self.calls = 0
         if pipeline is None:
-            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+            pipeline = Pipeline()
         layer_label = profiler.layer if profiler is not None \
             else Layer.USER
         self.probe_point = wire_probe(pipeline, layer_label,
@@ -127,9 +127,7 @@ class SyscallLayer:
                 end = kernel.read_tsc(proc)
                 if self.instrumentation == "full":
                     probe.record(operation, end - start, start=start,
-                                 context=context,
-                                 cpu=proc.cpu if proc.cpu is not None
-                                 else 0)
+                                 context=context)
             # POST hook and return-to-user path.
             exit_cost = self.syscall_cost / 2.0 + hook
             if exit_cost > 0:

@@ -136,8 +136,8 @@ class System:
         kernel = Kernel(num_cpus=num_cpus, quantum=quantum,
                         kernel_preemption=kernel_preemption, rng=rng)
         # One pipeline spans the machine: every layer's probe shares its
-        # request-id space and drains through the same batch buffers.
-        pipeline = Pipeline(num_cpus=num_cpus)
+        # request-id space and drains on the same flush.
+        pipeline = Pipeline()
         if device is not None:
             disk = Disk(kernel, model=device)
         else:

@@ -55,6 +55,25 @@ class File:
         if self.closed:
             raise ValueError("operation on closed file")
 
+    def seek(self, offset: int, whence: int) -> int:
+        """Move the position the way ``llseek`` does; return it.
+
+        A bad ``whence`` or a position before the start of the file
+        raises :class:`ValueError` and leaves the position unchanged.
+        """
+        if whence == SEEK_SET:
+            pos = offset
+        elif whence == SEEK_CUR:
+            pos = self.pos + offset
+        elif whence == SEEK_END:
+            pos = self.inode.size + offset
+        else:
+            raise ValueError(f"bad whence {whence}")
+        if pos < 0:
+            raise ValueError("seek before start of file")
+        self.pos = pos
+        return pos
+
     def __repr__(self) -> str:
         mode = " O_DIRECT" if self.direct else ""
         return f"<File ino={self.inode.ino} pos={self.pos}{mode}>"

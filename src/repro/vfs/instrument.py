@@ -59,7 +59,7 @@ class FsInstrument:
         self.variant = variant
         self.operations_profiled = 0
         if pipeline is None:
-            pipeline = Pipeline(num_cpus=len(kernel.cpus))
+            pipeline = Pipeline()
         layer_label = profiler.layer if profiler is not None \
             else Layer.FILESYSTEM
         self.probe_point = wire_probe(pipeline, layer_label,
@@ -98,9 +98,7 @@ class FsInstrument:
                 if self.variant == "full":
                     self.operations_profiled += 1
                     probe.record(operation, end - start, start=start,
-                                 context=context,
-                                 cpu=proc.cpu if proc.cpu is not None
-                                 else 0)
+                                 context=context)
             if hook > 0:
                 cycles = kernel.rng.jitter(hook)
                 if not kernel.burn(proc, cycles):

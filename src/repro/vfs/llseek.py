@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..sim.process import CpuBurst, ProcBody, Process
 from ..sim.scheduler import Kernel
-from .file import SEEK_CUR, SEEK_END, SEEK_SET, File
+from .file import SEEK_SET, File
 
 __all__ = ["generic_file_llseek", "generic_file_llseek_patched",
            "LLSEEK_BODY_COST"]
@@ -34,18 +34,7 @@ def _update_position(kernel: Kernel, proc: Process, file: File,
     cycles = kernel.rng.jitter(LLSEEK_BODY_COST)
     if not kernel.burn(proc, cycles):
         yield CpuBurst(cycles)
-    if whence == SEEK_SET:
-        new_pos = offset
-    elif whence == SEEK_CUR:
-        new_pos = file.pos + offset
-    elif whence == SEEK_END:
-        new_pos = file.inode.size + offset
-    else:
-        raise ValueError(f"bad whence {whence}")
-    if new_pos < 0:
-        raise ValueError("seek before start of file")
-    file.pos = new_pos
-    return new_pos
+    return file.seek(offset, whence)
 
 
 def generic_file_llseek(kernel: Kernel, proc: Process, file: File,

@@ -94,7 +94,6 @@ class TestProbePoint:
         probe = pipeline.probe(Layer.USER, NullSink())
         assert not probe.active
         probe.record("read", 50.0)
-        assert probe.events_recorded == 0
         assert pipeline.pending_events() == 0
 
     def test_events_buffer_until_flush(self):
@@ -188,9 +187,9 @@ class TestWireProbe:
         probe.record("read", 30.0)
         assert profiler.profile_set().total_ops() == 1
 
-    def test_disabled_profiler_drops_generic_path_drains(self):
-        # A global sink forces the generic event path; the disabled
-        # profiler's ProfileSink drops its drain, the trace does not.
+    def test_disabled_profiler_drops_drains_but_global_sink_sees_all(self):
+        # The disabled profiler's ProfileSink drops its drain; a global
+        # sink on the same probe still receives every event.
         pipeline = Pipeline()
         trace = TraceSink()
         pipeline.add_global_sink(trace)
@@ -420,6 +419,31 @@ class TestTraceAndFanout:
         assert [(e.layer, e.operation, e.depth) for e in events] == [
             (Layer.USER, "read", 0), (Layer.FILESYSTEM, "readpage", 1)]
 
+    def test_global_sink_sees_events_recorded_after_attach(self):
+        # Every wiring buffers the same way: a trace attached mid-run
+        # sees exactly the events recorded after it, whether the probe
+        # feeds one ProfileSink or a ProfileSink and a SamplingSink.
+        pipeline = Pipeline()
+        pset = ProfileSet(name="t")
+        sampled = SampledProfiler(clock=FakeClock(), interval=100.0,
+                                  name="t")
+        plain = pipeline.probe(Layer.USER, ProfileSink(pset))
+        sampling = pipeline.probe(Layer.FILESYSTEM, ProfileSink(pset),
+                                  SamplingSink(sampled))
+        for probe in (plain, sampling):
+            for _ in range(3):
+                probe.record("read", 8.0)
+        trace = TraceSink()
+        pipeline.add_global_sink(trace)
+        for probe in (plain, sampling):
+            for _ in range(2):
+                probe.record("read", 8.0)
+        pipeline.flush()
+        layers = [event.layer for event in trace.events]
+        assert layers.count(Layer.USER) == 2
+        assert layers.count(Layer.FILESYSTEM) == 2
+        assert pset.total_ops() == 10
+
     def test_global_sink_activates_nullsink_probes(self):
         pipeline = Pipeline()
         probe = pipeline.probe(Layer.USER, NullSink())
@@ -512,16 +536,18 @@ class TestFanoutIsolation:
 class TestPipelineValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            Pipeline(num_cpus=0)
-        with pytest.raises(ValueError):
             Pipeline(batch_size=0)
 
-    def test_per_cpu_buffers_all_drain(self):
-        pipeline = Pipeline(num_cpus=2)
-        pset = ProfileSet(name="t")
-        probe = pipeline.probe(Layer.USER, ProfileSink(pset))
-        probe.record("read", 4.0, cpu=0)
-        probe.record("read", 6.0, cpu=1)
-        assert pipeline.pending_events() == 2
+    def test_flush_drains_every_probe(self):
+        pipeline = Pipeline()
+        user, fs = ProfileSet(name="u"), ProfileSet(name="f")
+        user_probe = pipeline.probe(Layer.USER, ProfileSink(user))
+        fs_probe = pipeline.probe(Layer.FILESYSTEM, ProfileSink(fs))
+        user_probe.record("read", 4.0)
+        fs_probe.record("readpage", 6.0)
+        fs_probe.record("readpage", 9.0)
+        assert pipeline.pending_events() == 3
         pipeline.flush()
-        assert pset.profile("read", Layer.USER).total_ops == 2
+        assert pipeline.pending_events() == 0
+        assert user.profile("read", Layer.USER).total_ops == 1
+        assert fs.profile("readpage", Layer.FILESYSTEM).total_ops == 2

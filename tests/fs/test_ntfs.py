@@ -59,6 +59,19 @@ class TestLlseekSemantics:
         with pytest.raises(ValueError):
             system.kernel.run(max_events=500)
 
+    def test_rejected_llseek_keeps_position(self, system):
+        inode = system.tree.mkfile(system.root, "f", 100)
+        f = system.vfs.open_inode(inode)
+        f.pos = 40
+
+        def body(proc):
+            yield from system.vfs.llseek(proc, f, -50, 1)
+
+        system.kernel.spawn(body, "p")
+        with pytest.raises(ValueError):
+            system.kernel.run(max_events=500)
+        assert f.pos == 40
+
 
 class TestFastIoDispatch:
     def test_cold_read_is_irp_warm_read_is_fastio(self, system):

@@ -363,6 +363,28 @@ class TestSampled:
         assert all(len(l.split()) == 3 for l in data)
 
 
+class TestTrace:
+    def test_slowest_request_spans_every_layer(self, capsys):
+        rc = main(["trace", "--scenario", "spindle-randomread",
+                   "--requests", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        blocks = [block.splitlines() for block in out.strip().split("\n\n")]
+        assert len(blocks) == 2
+        assert all(block[0].startswith("request #") for block in blocks)
+        frames = {line.split()[0] for line in blocks[0][1:]}
+        assert {"user:read", "filesystem:read",
+                "driver:disk_read"} <= frames
+
+    def test_limit_reports_dropped_events(self, capsys):
+        rc = main(["trace", "--scenario", "spindle-randomread",
+                   "--requests", "2", "--limit", "500"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "past --limit 500)" in err
+        assert err.startswith("(dropped ")
+
+
 class TestCompareThreshold:
     @pytest.fixture
     def clean(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.net import build_cifs_mount, build_nfs_mount
 from repro.net.nfs import NFS_MAX_READ
 from repro.sim.engine import seconds
+from repro.vfs.file import SEEK_CUR, SEEK_END, SEEK_SET
 from repro.workloads import run_grep
 
 
@@ -115,3 +116,28 @@ class TestReaddirCookies:
         assert len(collected) == len(directory.entries)
         assert [e.name for e in collected] == \
             [e.name for e in directory.entries]
+
+
+class TestLlseekValidation:
+    """A network mount rejects a negative position like ext2 and NTFS."""
+
+    @pytest.mark.parametrize("build", [build_nfs_mount, build_cifs_mount],
+                             ids=["nfs", "cifs"])
+    @pytest.mark.parametrize("offset, whence", [(-5, SEEK_SET),
+                                                (-10, SEEK_CUR),
+                                                (-1_000_000, SEEK_END)])
+    def test_negative_position_raises_and_keeps_pos(self, build, offset,
+                                                   whence):
+        m = build(scale=0.005)
+        inode = next(i for i in m.client.inodes._inodes.values()
+                     if not i.is_dir and i.size > 0)
+        handle = m.client.vfs.open_inode(inode)
+        handle.pos = 3
+
+        def body(proc):
+            yield from m.client.vfs.llseek(proc, handle, offset, whence)
+
+        p = m.client.kernel.spawn(body, "seek")
+        with pytest.raises(ValueError, match="before start of file"):
+            m.client.run([p])
+        assert handle.pos == 3
