@@ -1057,7 +1057,7 @@ def cmd_trace(args) -> int:
     run_named_workload(system, workload, seed=args.seed,
                        scale=scale, processes=processes,
                        iterations=iterations)
-    system.pipeline.flush(final=True)
+    system.pipeline.flush()
 
     def root_latency(events) -> float:
         return max((e.latency for e in events if e.depth == 0),

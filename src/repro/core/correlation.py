@@ -15,7 +15,7 @@ profile belonging to the peak the latency matched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .buckets import BucketSpec, LatencyBuckets
 
@@ -81,30 +81,6 @@ class ValueCorrelator:
             raise ValueError("correlated values must be non-negative")
         self._histograms[name].add(scaled)
         return name
-
-    def record_batch(self, pairs: Sequence[Tuple[float, float]]) -> None:
-        """Record many ``(latency, value)`` pairs — the pipeline's path.
-
-        Equivalent to calling :meth:`record` per pair; grouping by peak
-        lets the scaled values enter each histogram via
-        :meth:`~repro.core.buckets.LatencyBuckets.add_many`.
-        """
-        grouped: Dict[str, List[float]] = {}
-        bucket_of = self.spec.bucket
-        scale = self.value_scale
-        for latency, value in pairs:
-            bucket = bucket_of(latency)
-            name = self.OTHER
-            for peak in self.peaks:
-                if peak.contains(bucket):
-                    name = peak.name
-                    break
-            scaled = value * scale
-            if scaled < 0:
-                raise ValueError("correlated values must be non-negative")
-            grouped.setdefault(name, []).append(scaled)
-        for name, values in grouped.items():
-            self._histograms[name].add_many(values)
 
     def histogram(self, peak_name: str) -> LatencyBuckets:
         """The value histogram accumulated for one peak (or ``OTHER``)."""

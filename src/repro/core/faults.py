@@ -18,10 +18,10 @@ site              where it fires                  kinds
                   connection
 ``client.send``   every outbound frame write      error, corrupt, delay
 ``client.recv``   every inbound frame read        error, delay
-``sink.consume``  an event sink inside the probe  error
-                  pipeline
 ``warehouse.ingest``  between a warehouse segment crash
                   file landing and its log commit
+``warehouse.ingest_state`` the same window, for a  crash
+                  wait-state sample segment
 ``warehouse.compact`` between a merged super-     crash
                   segment landing and its log
                   commit / input deletion
@@ -40,8 +40,7 @@ The healing counterparts live next to the sites: bounded same-seed
 retries and salvage in :func:`repro.core.shard.collect_sharded`,
 backoff / spooling / idempotent resend in
 :class:`repro.service.client.ResilientServiceClient`, read timeouts and
-backpressure in :mod:`repro.service.server`, sink isolation in
-:class:`repro.core.pipeline.FanoutSink`, and write-ahead log replay in
+backpressure in :mod:`repro.service.server`, and write-ahead log replay in
 :class:`repro.warehouse.Warehouse` (a crash between a segment file and
 its log commit leaves an orphan file, never a half-committed segment).
 """
@@ -63,7 +62,6 @@ __all__ = [
     "FaultPlan",
     "corrupt_bytes",
     "FaultySocket",
-    "FaultingSink",
 ]
 
 #: Every armable site and the fault kinds that make sense there.
@@ -73,8 +71,8 @@ FAULT_SITES = {
     "client.connect": frozenset({"error", "delay"}),
     "client.send": frozenset({"error", "corrupt", "delay"}),
     "client.recv": frozenset({"error", "delay"}),
-    "sink.consume": frozenset({"error"}),
     "warehouse.ingest": frozenset({"crash"}),
+    "warehouse.ingest_state": frozenset({"crash"}),
     "warehouse.compact": frozenset({"crash"}),
     # Fired inside the simulator, not the collection stack: a matching
     # point marks the in-service disk request as a media error, so the
@@ -307,34 +305,3 @@ class FaultySocket:
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
-
-
-class FaultingSink:
-    """An event sink that fires ``sink.consume`` faults, then forwards.
-
-    Duck-types :class:`repro.core.pipeline.EventSink` (no import, to
-    keep this module dependency-light).  ``inner`` is optional — a bare
-    FaultingSink is simply a sink that raises on the armed attempts.
-    """
-
-    def __init__(self, plan: FaultPlan, inner=None,
-                 key: Optional[str] = None):
-        self._plan = plan
-        self._inner = inner
-        self._key = key
-        self.consumes = 0
-
-    def consume(self, layer: str, events) -> None:
-        attempt = self.consumes
-        self.consumes += 1
-        point = self._plan.point_at("sink.consume", key=self._key,
-                                    attempt=attempt)
-        if point is not None:
-            raise InjectedFault("sink.consume", point.kind, self._key,
-                               attempt)
-        if self._inner is not None:
-            self._inner.consume(layer, events)
-
-    def flush(self) -> None:
-        if self._inner is not None:
-            self._inner.flush()

@@ -3,9 +3,9 @@
 The paper's design (Figure 2, §4) is a single aggregate-stats library
 shared by profilers at user, file-system, driver, and network level.
 This module is that shared spine for the reproduction: every
-instrumented layer emits through a :class:`ProbePoint` into composable
+instrumented layer emits through a :class:`ProbePoint` into
 :class:`EventSink` implementations, instead of hand-wiring calls to
-``Profiler`` / ``SampledProfiler`` / ``ValueCorrelator`` at each site.
+``Profiler`` / ``SampledProfiler`` at each site.
 
 Three ideas compose here:
 
@@ -29,21 +29,19 @@ Three ideas compose here:
   counts, extrema, and the exact latency expansion are all
   order-independent, produces byte-identical ProfileSets.
 
-* **Composable sinks.**  One event stream feeds any combination of
-  complete profiles (:class:`ProfileSink`), time-segmented 3-D profiles
-  (:class:`SamplingSink`), value correlation (:class:`CorrelationSink`),
-  batched pushes to the continuous-profiling service
-  (:class:`StreamSink`), request tracing (:class:`TraceSink`), or
-  nothing at all (:class:`NullSink` — the measured-zero "off" variant).
+* **Four sinks.**  :func:`wire_probe` gives a probe a
+  :class:`ProfileSink` (complete profiles) and/or a
+  :class:`SamplingSink` (3-D profiles), else a :class:`NullSink` (the
+  measured-zero "off" variant); ``osprof trace`` attaches a global
+  :class:`TraceSink`.  A sink that raises fails the capture loudly.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from .buckets import BucketSpec
 from .profile import Layer
 from .profileset import ProfileSet
 from .sampling import SampledProfiler
@@ -57,11 +55,8 @@ __all__ = [
     "NullSink",
     "ProfileSink",
     "SamplingSink",
-    "CorrelationSink",
-    "StreamSink",
     "TraceSink",
     "TraceEvent",
-    "FanoutSink",
     "TokenFinishedError",
     "wire_probe",
 ]
@@ -98,7 +93,7 @@ class RequestContext:
     event stream be sliced per request across layers.
     """
 
-    __slots__ = ("request_id", "operation", "layer", "parent", "_values")
+    __slots__ = ("request_id", "operation", "layer", "parent")
 
     def __init__(self, request_id: int, operation: str, layer: str,
                  parent: Optional["RequestContext"] = None):
@@ -106,7 +101,6 @@ class RequestContext:
         self.operation = operation
         self.layer = layer
         self.parent = parent
-        self._values: Optional[Dict[str, Any]] = None
 
     def child(self, operation: str, layer: str) -> "RequestContext":
         """A sub-request frame one layer further down the stack."""
@@ -131,21 +125,6 @@ class RequestContext:
             frames.append((frame.layer, frame.operation))
             frame = frame.parent
         return tuple(reversed(frames))
-
-    def annotate(self, key: str, value: Any) -> None:
-        """Attach an internal OS variable (Figure 8's correlation input)."""
-        if self._values is None:
-            self._values = {}
-        self._values[key] = value
-
-    def value(self, key: str, default: Any = None) -> Any:
-        """Look *key* up on this frame, then up the parent chain."""
-        frame: Optional[RequestContext] = self
-        while frame is not None:
-            if frame._values is not None and key in frame._values:
-                return frame._values[key]
-            frame = frame.parent
-        return default
 
     def __repr__(self) -> str:
         frames = "->".join(op for _, op in self.path)
@@ -174,16 +153,11 @@ class EventSink:
 
     ``consume`` receives one layer's drained batch — a list of
     ``(operation, start, latency, context)`` tuples with latencies
-    already clamped non-negative.  ``flush`` is called when the pipeline
-    is flushed with ``final=True`` (end of a collection), letting sinks
-    with internal batching (:class:`StreamSink`) emit remainders.
+    already clamped non-negative.
     """
 
     def consume(self, layer: str, events: List[Event]) -> None:
         raise NotImplementedError
-
-    def flush(self) -> None:  # pragma: no cover - default no-op
-        pass
 
 
 class NullSink(EventSink):
@@ -255,75 +229,6 @@ class SamplingSink(EventSink):
             record(op, start, lat)
 
 
-class CorrelationSink(EventSink):
-    """Feeds a :class:`~repro.core.correlation.ValueCorrelator`.
-
-    Requests annotate an internal variable on their context
-    (``ctx.annotate(key, value)``); the sink correlates that value with
-    the probed latency.  ``operation`` optionally restricts correlation
-    to one operation's events (Figure 8 correlates only ``readdir``).
-    """
-
-    def __init__(self, correlator, key: str = "value",
-                 operation: Optional[str] = None):
-        self.correlator = correlator
-        self.key = key
-        self.operation = operation
-
-    def consume(self, layer: str, events: List[Event]) -> None:
-        pairs: List[Tuple[float, float]] = []
-        for op, _start, lat, ctx in events:
-            if self.operation is not None and op != self.operation:
-                continue
-            if ctx is None:
-                continue
-            value = ctx.value(self.key)
-            if value is None:
-                continue
-            pairs.append((lat, value))
-        if pairs:
-            self.correlator.record_batch(pairs)
-
-
-class StreamSink(EventSink):
-    """Batches events into ProfileSets and pushes them to the service.
-
-    Instead of one OSPS push per sample or per segment boundary decided
-    elsewhere, the sink accumulates a pending set and pushes whenever it
-    holds ``batch_ops`` samples; the final :meth:`flush` pushes the
-    remainder.  ``push`` is a :class:`~repro.service.client.ServiceClient`
-    (anything with a ``push(pset)`` method) or a bare callable.
-    """
-
-    def __init__(self, push, batch_ops: int = 2048,
-                 name: str = "stream", spec: Optional[BucketSpec] = None):
-        if batch_ops < 1:
-            raise ValueError("batch_ops must be >= 1")
-        self._push = push.push if hasattr(push, "push") else push
-        self.batch_ops = batch_ops
-        self.name = name
-        self.spec = spec if spec is not None else BucketSpec()
-        self._pending = ProfileSet(name=name, spec=self.spec)
-        self.pushes = 0
-        self.ops_streamed = 0
-
-    def consume(self, layer: str, events: List[Event]) -> None:
-        _accumulate(self._pending, layer, events)
-        if self._pending.total_ops() >= self.batch_ops:
-            self._emit()
-
-    def flush(self) -> None:
-        if self._pending.total_ops():
-            self._emit()
-
-    def _emit(self) -> None:
-        pending = self._pending
-        self._pending = ProfileSet(name=self.name, spec=self.spec)
-        self.pushes += 1
-        self.ops_streamed += pending.total_ops()
-        self._push(pending)
-
-
 class TraceEvent:
     """One probe event with its request identity, for per-request slicing."""
 
@@ -351,23 +256,46 @@ class TraceSink(EventSink):
     logical request's syscall, VFS/FS, driver, and network events all
     share a request id, so ``requests()`` hands back per-request slices
     of IO execution across every probed layer.
+
+    ``limit`` keeps whole requests, lowest ids first: probes drain one
+    at a time, so when an event does not fit, the highest request id
+    held or arriving is dropped with all its events, and so is every
+    later event of that id or a higher one.  Context-less events are
+    kept while there is room.
     """
 
     def __init__(self, limit: Optional[int] = None):
         self.events: List[TraceEvent] = []
         self.limit = limit
         self.dropped = 0
+        self._cutoff = float("inf")  #: the lowest dropped request id
 
     def consume(self, layer: str, events: List[Event]) -> None:
         store = self.events
         limit = self.limit
         for op, start, lat, ctx in events:
-            if limit is not None and len(store) >= limit:
+            rid = ctx.request_id if ctx is not None else None
+            if limit is not None and (
+                    (rid is not None and rid >= self._cutoff)
+                    or (len(store) >= limit and not self._make_room(rid))):
                 self.dropped += 1
                 continue
-            rid = ctx.request_id if ctx is not None else None
             depth = ctx.depth if ctx is not None else 0
             store.append(TraceEvent(rid, layer, op, start, lat, depth))
+
+    def _make_room(self, rid: Optional[int]) -> bool:
+        """Drop the highest request id held or *rid*; does *rid* fit now?"""
+        if rid is None:
+            return False
+        store = self.events
+        victim = max([rid] + [e.request_id for e in store
+                              if e.request_id is not None])
+        kept = [e for e in store
+                if e.request_id is None or e.request_id < victim]
+        self.dropped += len(store) - len(kept)
+        store[:] = kept
+        self._cutoff = victim
+        return rid < victim
 
     def requests(self) -> Dict[int, List[TraceEvent]]:
         """Request id → its events, entry-ordered (start, then depth)."""
@@ -379,57 +307,6 @@ class TraceSink(EventSink):
         for events in grouped.values():
             events.sort(key=lambda e: (e.start, e.depth))
         return grouped
-
-
-class FanoutSink(EventSink):
-    """Forwards one stream to several sinks (profile + sample + stream...).
-
-    Consumers are isolated from each other: a sink that raises is
-    counted against (``sink_errors``, ``last_errors``,
-    ``events_dropped``) and skipped for that batch, while every other
-    sink still receives the full event stream — one bad consumer (a
-    dead service connection inside a :class:`StreamSink`, a buggy
-    analysis sink) can degrade itself but can never drop events for the
-    rest.  :meth:`degraded` and :meth:`metrics` surface the damage so
-    it is observable, never silent.
-    """
-
-    def __init__(self, sinks: Sequence[EventSink]):
-        self.sinks = tuple(sinks)
-        self.sink_errors = [0] * len(self.sinks)
-        self.last_errors: List[Optional[BaseException]] = \
-            [None] * len(self.sinks)
-        self.events_dropped = 0  #: events a failed sink did not receive
-
-    def consume(self, layer: str, events: List[Event]) -> None:
-        for index, sink in enumerate(self.sinks):
-            try:
-                sink.consume(layer, events)
-            except Exception as exc:
-                self.sink_errors[index] += 1
-                self.last_errors[index] = exc
-                self.events_dropped += len(events)
-
-    def flush(self) -> None:
-        for index, sink in enumerate(self.sinks):
-            try:
-                sink.flush()
-            except Exception as exc:
-                self.sink_errors[index] += 1
-                self.last_errors[index] = exc
-
-    def degraded(self) -> bool:
-        """Has any consumer failed at least once?"""
-        return any(self.sink_errors)
-
-    def metrics(self) -> Dict[str, int]:
-        """Degradation counters, ``osprof_*``-named for exposition."""
-        return {
-            "osprof_sink_errors_total": sum(self.sink_errors),
-            "osprof_sink_events_dropped_total": self.events_dropped,
-            "osprof_sinks_degraded": sum(
-                1 for count in self.sink_errors if count),
-        }
 
 
 class ProbePoint:
@@ -606,9 +483,6 @@ class Pipeline:
         for probe in self._probes:
             probe.active = True
 
-    def probes(self) -> List[ProbePoint]:
-        return list(self._probes)
-
     # -- request identity ---------------------------------------------------
 
     def new_context(self, operation: str,
@@ -623,25 +497,10 @@ class Pipeline:
     def pending_events(self) -> int:
         return sum(len(probe._events) for probe in self._probes)
 
-    def flush(self, final: bool = False) -> None:
-        """Drain every probe's event list into the sinks.
-
-        ``final=True`` additionally flushes the sinks themselves, which
-        lets :class:`StreamSink` push its last partial batch.
-        """
+    def flush(self) -> None:
+        """Drain every probe's event list into the sinks."""
         for probe in self._probes:
             probe._drain()
-        if final:
-            seen = set()
-            for probe in self._probes:
-                for sink in probe.sinks:
-                    if id(sink) not in seen:
-                        seen.add(id(sink))
-                        sink.flush()
-            for sink in self._global_sinks:
-                if id(sink) not in seen:
-                    seen.add(id(sink))
-                    sink.flush()
 
     def __repr__(self) -> str:
         return (f"<Pipeline probes={len(self._probes)} "
@@ -651,7 +510,6 @@ class Pipeline:
 
 def wire_probe(pipeline: Pipeline, layer: str,
                profiler=None, sampled: Optional[SampledProfiler] = None,
-               extra_sinks: Sequence[EventSink] = (),
                clock: Optional[Callable[[], float]] = None,
                name: str = "") -> ProbePoint:
     """Build a probe feeding a Profiler and/or SampledProfiler.
@@ -661,8 +519,8 @@ def wire_probe(pipeline: Pipeline, layer: str,
     keeps working and a disabled profiler drops what drains), the
     sampled profiler a :class:`SamplingSink`, and both get the
     pipeline's flush attached so reading results always observes
-    drained buffers.  With neither target and no extra sinks
-    the probe gets a :class:`NullSink` — the measured-zero off variant.
+    drained buffers.  With neither target the probe gets a
+    :class:`NullSink` — the measured-zero off variant.
     """
     sinks: List[EventSink] = []
     if profiler is not None:
@@ -670,7 +528,6 @@ def wire_probe(pipeline: Pipeline, layer: str,
             lambda: profiler.profiles if profiler.enabled else None))
     if sampled is not None:
         sinks.append(SamplingSink(sampled))
-    sinks.extend(extra_sinks)
     if not sinks:
         sinks.append(NullSink())
     probe = pipeline.probe(layer, *sinks, clock=clock, name=name)

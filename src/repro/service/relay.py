@@ -247,10 +247,15 @@ class RelayService:
         """Validate one pushed profile: its ``(ops, operations)``.
 
         The payload is checked by the binary decoder and only its rows
-        are read; the ones that do not decode are counted and raise.
+        are read.  One that does not decode, or that the root would
+        refuse for its resolution, is counted and raises.
         """
         try:
-            rows = parse_binary(payload)[4]
+            _crc, spec, _name, _attributes, rows = parse_binary(payload)
+            if spec.resolution != self.config.resolution:
+                raise ValueError(
+                    f"pushed profile resolution {spec.resolution} "
+                    f"differs from the relay's {self.config.resolution}")
         except ValueError:
             with self._lock:
                 self.rejected += 1

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from ..core import durable
-from ..core.profileset import ProfileSet
+from ..core.profileset import parse_binary
 
 __all__ = ["Spool"]
 
@@ -140,7 +140,7 @@ class Spool:
         for seq in self.pending():
             payload = self.payload(seq)
             try:
-                ProfileSet.from_bytes(payload)
+                parse_binary(payload)
             except ValueError:
                 self.quarantine(seq)
                 continue

@@ -15,9 +15,9 @@ single function call."
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..core.pipeline import (EventSink, Pipeline, ProbePoint, wire_probe)
+from ..core.pipeline import Pipeline, ProbePoint, wire_probe
 from ..core.profile import Layer
 from ..core.profiler import Profiler
 from ..core.sampling import SampledProfiler
@@ -35,12 +35,11 @@ class FsInstrument:
     ``off`` (no hooks), ``empty`` (hook call cost only), ``tsc_only``
     (hooks + TSC reads, nothing stored), ``full`` (the real profiler).
 
-    Events emit through a :class:`~repro.core.pipeline.ProbePoint`;
-    pass ``pipeline`` plus profiler/sampled targets to share one
-    machine-wide pipeline, and ``sinks`` for custom routing.
-    With no targets at all the probe is wired to a
-    :class:`~repro.core.pipeline.NullSink` and the record path is
-    deactivated entirely.
+    Events emit through a probe built by
+    :func:`~repro.core.pipeline.wire_probe`; pass ``pipeline`` to share
+    one machine-wide pipeline.  With neither a profiler nor a sampled
+    target the probe gets a :class:`~repro.core.pipeline.NullSink`, and
+    the record path is deactivated entirely.
     """
 
     VARIANTS = ("off", "empty", "tsc_only", "full")
@@ -49,22 +48,20 @@ class FsInstrument:
                  profiler: Optional[Profiler] = None,
                  sampled: Optional[SampledProfiler] = None,
                  variant: str = "full",
-                 pipeline: Optional[Pipeline] = None,
-                 sinks: Sequence[EventSink] = ()):
+                 pipeline: Optional[Pipeline] = None):
         if variant not in self.VARIANTS:
             raise ValueError(f"variant must be one of {self.VARIANTS}")
         self.kernel = kernel
         self.profiler = profiler
         self.sampled = sampled
         self.variant = variant
-        self.operations_profiled = 0
         if pipeline is None:
             pipeline = Pipeline()
         layer_label = profiler.layer if profiler is not None \
             else Layer.FILESYSTEM
         self.probe_point = wire_probe(pipeline, layer_label,
                                       profiler=profiler, sampled=sampled,
-                                      extra_sinks=sinks, name="fs")
+                                      name="fs")
         self.pipeline = pipeline
 
     def _hook_cost(self) -> float:
@@ -96,7 +93,6 @@ class FsInstrument:
             finally:
                 end = kernel.read_tsc(proc)
                 if self.variant == "full":
-                    self.operations_profiled += 1
                     probe.record(operation, end - start, start=start,
                                  context=context)
             if hook > 0:

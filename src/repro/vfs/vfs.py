@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.pipeline import NullSink
 from ..sim.process import CpuBurst, ProcBody, Process
 from ..sim.scheduler import Kernel
 from .file import File
@@ -92,7 +91,7 @@ class Vfs:
         # Uninstrumented mounts route through a NullSink-backed probe:
         # same code path as profiled mounts, measured-zero overhead.
         self.fsprof = fsprof if fsprof is not None \
-            else FsInstrument(kernel, variant="off", sinks=(NullSink(),))
+            else FsInstrument(kernel, variant="off")
         fs.bind(self)
 
     # -- plumbing --------------------------------------------------------------

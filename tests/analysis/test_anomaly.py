@@ -6,13 +6,7 @@ from repro.analysis.anomaly import (change_points, distance_series)
 from repro.core.sampling import SampledProfiler
 from repro.sim.rng import SimRandom
 
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 def make_series(segments, ops_per_segment=5000, shift_at=None,

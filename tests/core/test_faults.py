@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from repro.core.faults import (FAULT_KINDS, FAULT_SITES, FaultingSink,
-                               FaultPlan, FaultPoint, FaultySocket,
-                               InjectedFault, corrupt_bytes)
+from repro.core.faults import (FAULT_KINDS, FAULT_SITES, FaultPlan,
+                               FaultPoint, FaultySocket, InjectedFault,
+                               corrupt_bytes)
 
 
 class TestFaultPoint:
@@ -208,32 +208,3 @@ class TestFaultySocket:
         sock.close()
         assert sock._sock.closed
 
-
-class Recorder:
-    def __init__(self):
-        self.batches = []
-        self.flushed = 0
-
-    def consume(self, layer, events):
-        self.batches.append((layer, list(events)))
-
-    def flush(self):
-        self.flushed += 1
-
-
-class TestFaultingSink:
-    def test_raises_on_armed_consume_then_heals(self):
-        inner = Recorder()
-        plan = FaultPlan([FaultPoint("sink.consume", "error",
-                                     attempts=(0,))])
-        sink = FaultingSink(plan, inner=inner)
-        with pytest.raises(InjectedFault):
-            sink.consume("fs", [1, 2])
-        sink.consume("fs", [3])
-        assert inner.batches == [("fs", [3])]
-
-    def test_flush_forwards(self):
-        inner = Recorder()
-        sink = FaultingSink(FaultPlan(), inner=inner)
-        sink.flush()
-        assert inner.flushed == 1

@@ -1,17 +1,13 @@
 """Unit tests for the probe/event pipeline (contexts, sinks, batching)."""
 
-import math
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.buckets import BucketSpec
-from repro.core.correlation import PeakRange, ValueCorrelator
-from repro.core.pipeline import (CorrelationSink, FanoutSink, NullSink,
-                                 Pipeline, ProbePoint, ProfileSink,
-                                 RequestContext, SamplingSink, StreamSink,
+from repro.core.pipeline import (EventSink, NullSink, Pipeline, ProbePoint,
+                                 ProfileSink, RequestContext, SamplingSink,
                                  TokenFinishedError, TraceSink, wire_probe)
 from repro.core.profile import Layer
 from repro.core.profiler import Profiler
@@ -40,17 +36,6 @@ class TestRequestContext:
         assert leaf.path == ((Layer.USER, "read"),
                              (Layer.FILESYSTEM, "read"),
                              (Layer.DRIVER, "disk_read"))
-
-    def test_annotations_resolve_up_the_parent_chain(self):
-        root = RequestContext(1, "readdir", Layer.USER)
-        root.annotate("past_eof", 1)
-        child = root.child("readdir", Layer.FILESYSTEM)
-        assert child.value("past_eof") == 1
-        assert child.value("missing", default=-1) == -1
-        child.annotate("past_eof", 0)
-        assert child.value("past_eof") == 0
-        assert root.value("past_eof") == 1
-
 
 class TestProbePoint:
     def test_enter_exit_records_latency(self):
@@ -270,132 +255,6 @@ class TestSamplingSink:
             [seg.to_bytes() for seg in right.segments]
         assert left.tail_fraction == right.tail_fraction
 
-    def test_fanout_isolates_a_failing_sampling_sink(self):
-        # Fault injection: a pre-epoch event makes the SamplingSink's
-        # consume() raise.  Under a FanoutSink the failure is counted
-        # and the neighboring profile sink still sees every event.
-        clock = FakeClock(now=1000.0)
-        sampled = SampledProfiler(clock=clock, interval=100.0, name="t")
-        pset = ProfileSet(name="t")
-        fan = FanoutSink([SamplingSink(sampled), ProfileSink(pset)])
-        pipeline = Pipeline()
-        probe = pipeline.probe(Layer.FILESYSTEM, fan)
-        probe.record("read", 10.0, start=500.0)   # pre-epoch: raises
-        probe.record("read", 20.0, start=1500.0)  # fine
-        pipeline.flush()
-        assert pset.total_ops() == 2
-        assert fan.sink_errors == [1, 0]
-        assert isinstance(fan.last_errors[0], ValueError)
-        assert fan.degraded()
-
-    def test_fanout_survives_sampling_neighbor_raising(self):
-        # The converse: the sampler keeps sampling when its neighbor
-        # (a dead stream connection, say) throws on every batch.
-        clock = FakeClock()
-        sampled = SampledProfiler(clock=clock, interval=100.0, name="t")
-        fan = FanoutSink([RaisingSink(), SamplingSink(sampled)])
-        pipeline = Pipeline()
-        probe = pipeline.probe(Layer.FILESYSTEM, fan)
-        for i in range(4):
-            probe.record("read", 5.0, start=float(i * 60))
-        pipeline.flush()
-        assert sampled.series().collapse().total_ops() == 4
-        assert fan.sink_errors[0] > 0
-        assert fan.sink_errors[1] == 0
-
-
-class TestCorrelationSink:
-    def _correlator(self):
-        return ValueCorrelator([PeakRange("first", 0, 10)],
-                               value_scale=1024.0)
-
-    def test_correlates_context_annotated_values(self):
-        correlator = self._correlator()
-        pipeline = Pipeline()
-        probe = pipeline.probe(
-            Layer.FILESYSTEM,
-            CorrelationSink(correlator, key="past_eof"))
-        ctx = pipeline.new_context("readdir", Layer.FILESYSTEM)
-        ctx.annotate("past_eof", 1)
-        probe.record("readdir", 100.0, context=ctx)
-        pipeline.flush()
-        assert sum(correlator.histogram("first").counts().values()) == 1
-
-    def test_operation_filter_and_missing_annotations_skip(self):
-        correlator = self._correlator()
-        pipeline = Pipeline()
-        probe = pipeline.probe(
-            Layer.FILESYSTEM,
-            CorrelationSink(correlator, key="past_eof",
-                            operation="readdir"))
-        annotated = pipeline.new_context("readdir", Layer.FILESYSTEM)
-        annotated.annotate("past_eof", 1)
-        bare = pipeline.new_context("readdir", Layer.FILESYSTEM)
-        probe.record("read", 50.0, context=annotated)   # wrong op
-        probe.record("readdir", 50.0, context=bare)     # no annotation
-        probe.record("readdir", 50.0, context=None)     # no context
-        probe.record("readdir", 50.0, context=annotated)
-        pipeline.flush()
-        total = sum(sum(h.values())
-                    for h in correlator.summary().values())
-        assert total == 1
-
-    def test_record_batch_matches_per_pair_record(self):
-        batched = self._correlator()
-        loop = self._correlator()
-        pairs = [(float(2 ** (i % 14)), float(i % 2)) for i in range(40)]
-        batched.record_batch(pairs)
-        for latency, value in pairs:
-            loop.record(latency, value)
-        assert batched.summary() == loop.summary()
-
-
-class TestStreamSink:
-    def test_pushes_in_batches_and_flushes_remainder(self):
-        pushed = []
-        pipeline = Pipeline(batch_size=10)
-        sink = StreamSink(pushed.append, batch_ops=10)
-        probe = pipeline.probe(Layer.FILESYSTEM, sink)
-        for i in range(25):
-            probe.record("read", float(i + 1))
-        pipeline.flush(final=True)
-        assert sink.pushes == 3
-        assert [p.total_ops() for p in pushed] == [10, 10, 5]
-        assert sink.ops_streamed == 25
-
-    def test_no_empty_final_push(self):
-        pushed = []
-        pipeline = Pipeline()
-        sink = StreamSink(pushed.append, batch_ops=5)
-        probe = pipeline.probe(Layer.FILESYSTEM, sink)
-        for _ in range(5):
-            probe.record("read", 3.0)
-        pipeline.flush(final=True)
-        assert sink.pushes == 1
-        assert len(pushed) == 1
-
-    def test_accepts_client_objects_with_push_method(self):
-        class FakeClient:
-            def __init__(self):
-                self.sets = []
-
-            def push(self, pset):
-                self.sets.append(pset)
-                return "ok"
-
-        client = FakeClient()
-        pipeline = Pipeline()
-        sink = StreamSink(client, batch_ops=2)
-        probe = pipeline.probe(Layer.FILESYSTEM, sink)
-        probe.record("read", 1.0)
-        probe.record("read", 2.0)
-        pipeline.flush()
-        assert len(client.sets) == 1
-
-    def test_rejects_nonpositive_batch(self):
-        with pytest.raises(ValueError):
-            StreamSink(lambda pset: None, batch_ops=0)
-
 
 class TestTraceAndFanout:
     def test_trace_groups_events_per_request(self):
@@ -461,76 +320,58 @@ class TestTraceAndFanout:
         assert len(trace.events) == 2
         assert trace.dropped == 3
 
-    def test_fanout_delivers_and_flushes_all(self):
-        pset = ProfileSet(name="t")
-        pushed = []
-        fan = FanoutSink([ProfileSink(pset),
-                          StreamSink(pushed.append, batch_ops=100)])
+    def test_trace_limit_keeps_whole_requests_lowest_ids_first(self):
+        # Probes drain one after the other, so the file-system halves
+        # of requests 1-4 arrive before any user half.  A first-come
+        # cap would keep all four requests half-traced.
         pipeline = Pipeline()
-        probe = pipeline.probe(Layer.USER, fan)
-        probe.record("read", 9.0)
-        pipeline.flush(final=True)
-        assert pset.total_ops() == 1
-        assert len(pushed) == 1
+        trace = TraceSink(limit=5)
+        pipeline.add_global_sink(trace)
+        fs = pipeline.probe(Layer.FILESYSTEM)
+        user = pipeline.probe(Layer.USER)
+        roots = [pipeline.new_context("read") for _ in range(4)]
+        for root in roots:
+            fs.record("read", 40.0, context=root.child("read",
+                                                        Layer.FILESYSTEM))
+            user.record("read", 90.0, context=root)
+        pipeline.flush()
+        requests = trace.requests()
+        assert sorted(requests) == [roots[0].request_id,
+                                    roots[1].request_id]
+        assert all(len(events) == 2 for events in requests.values())
+        assert len(trace.events) == 4
+        assert trace.dropped == 4
 
 
-class RaisingSink:
+class RaisingSink(EventSink):
     """A consumer that always fails (a dead service connection, say)."""
-
-    def __init__(self):
-        self.flushes = 0
 
     def consume(self, layer, events):
         raise ConnectionError("downstream is gone")
 
-    def flush(self):
-        self.flushes += 1
-        raise ConnectionError("flush failed too")
 
+class TestRaisingSink:
+    """A sink that raises fails the capture loudly, never silently."""
 
-class TestFanoutIsolation:
-    def test_raising_sink_never_starves_the_others(self):
-        pset = ProfileSet(name="t")
-        fan = FanoutSink([RaisingSink(), ProfileSink(pset)])
-        pipeline = Pipeline()
-        probe = pipeline.probe(Layer.USER, fan)
-        for _ in range(5):
+    def test_raises_out_of_record_when_each_event_drains(self):
+        pipeline = Pipeline(batch_size=1)
+        probe = pipeline.probe(Layer.FILESYSTEM, RaisingSink())
+        with pytest.raises(ConnectionError, match="downstream is gone"):
             probe.record("read", 9.0)
-        pipeline.flush(final=True)
-        # The healthy sink saw every event despite its broken neighbor.
-        assert pset.total_ops() == 5
 
-    def test_failures_are_counted_not_silent(self):
-        fan = FanoutSink([RaisingSink(), NullSink()])
-        fan.consume(Layer.USER, [object()] * 3)
-        fan.consume(Layer.USER, [object()] * 2)
-        assert fan.sink_errors == [2, 0]
-        assert isinstance(fan.last_errors[0], ConnectionError)
-        assert fan.last_errors[1] is None
-        assert fan.events_dropped == 5
-        assert fan.degraded()
-
-    def test_flush_failures_counted_too(self):
-        fan = FanoutSink([RaisingSink()])
-        fan.flush()
-        assert fan.sink_errors == [1]
-        assert fan.degraded()
-
-    def test_healthy_fanout_is_not_degraded(self):
-        fan = FanoutSink([NullSink()])
-        fan.consume(Layer.USER, [object()])
-        fan.flush()
-        assert not fan.degraded()
-        assert fan.metrics()["osprof_sinks_degraded"] == 0
-
-    def test_metrics_shape(self):
-        fan = FanoutSink([RaisingSink(), NullSink()])
-        fan.consume(Layer.USER, [object()] * 4)
-        assert fan.metrics() == {
-            "osprof_sink_errors_total": 1,
-            "osprof_sink_events_dropped_total": 4,
-            "osprof_sinks_degraded": 1,
-        }
+    def test_raises_out_of_flush_and_spares_other_probes(self):
+        pipeline = Pipeline()
+        pset = ProfileSet(name="t")
+        broken = pipeline.probe(Layer.FILESYSTEM, RaisingSink())
+        healthy = pipeline.probe(Layer.USER, ProfileSink(pset))
+        for _ in range(3):
+            broken.record("read", 9.0)
+            healthy.record("read", 9.0)
+        with pytest.raises(ConnectionError):
+            pipeline.flush()
+        # The failed batch is gone; the other probe's events are not.
+        pipeline.flush()
+        assert pset.profile("read", Layer.USER).total_ops == 3
 
 
 class TestPipelineValidation:

@@ -385,6 +385,27 @@ class TestTrace:
         assert err.startswith("(dropped ")
 
 
+class TestTraceLimit:
+    @staticmethod
+    def traced(capsys, *extra):
+        """Request id -> its printed block, for every printed request."""
+        rc = main(["trace", "--scenario", "spindle-randomread",
+                   "--requests", "100000", *extra])
+        assert rc == 0
+        out = capsys.readouterr().out
+        blocks = [block.splitlines() for block in out.strip().split("\n\n")]
+        return {int(block[0].split("#")[1].split(":")[0]): block
+                for block in blocks}
+
+    def test_limit_keeps_whole_requests_lowest_ids_first(self, capsys):
+        full = self.traced(capsys)
+        kept = self.traced(capsys, "--limit", "500")
+        assert kept
+        for rid, block in kept.items():
+            assert block == full[rid]
+        assert max(kept) < min(set(full) - set(kept))
+
+
 class TestCompareThreshold:
     @pytest.fixture
     def clean(self, tmp_path):

@@ -24,7 +24,7 @@ class TestCrossLayerTrace:
         system, trace = traced_system()
         run_random_read(system, RandomReadConfig(processes=1,
                                                  iterations=50))
-        system.pipeline.flush(final=True)
+        system.pipeline.flush()
         requests = trace.requests()
         assert requests
         multi = {rid: events for rid, events in requests.items()
@@ -40,7 +40,7 @@ class TestCrossLayerTrace:
         system, trace = traced_system()
         run_random_read(system, RandomReadConfig(processes=2,
                                                  iterations=200))
-        system.pipeline.flush(final=True)
+        system.pipeline.flush()
         driver_rids = {e.request_id for events in
                        trace.requests().values() for e in events
                        if e.layer == Layer.DRIVER}

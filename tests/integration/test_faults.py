@@ -16,9 +16,7 @@ import time
 
 import pytest
 
-from repro.core.faults import FaultingSink, FaultPlan, FaultPoint
-from repro.core.pipeline import FanoutSink, Pipeline, ProfileSink
-from repro.core.profile import Layer
+from repro.core.faults import FaultPlan, FaultPoint
 from repro.core.profileset import ProfileSet
 from repro.core.shard import DEGRADED_ATTRIBUTE, collect_sharded
 from repro.service.client import Backoff, ResilientServiceClient
@@ -157,35 +155,6 @@ class TestClientFaultMatrix:
             time.sleep(0.01)
         assert service.ingest_duplicates == 1
         assert service.snapshot()["read"].total_ops == 20  # single copy
-
-
-class TestSinkFaultMatrix:
-    """A faulting consumer degrades itself, never its neighbors."""
-
-    def run_pipeline(self, fault_plan):
-        pset_out = ProfileSet(name="t")
-        faulty = FaultingSink(fault_plan)
-        fan = FanoutSink([faulty, ProfileSink(pset_out)])
-        pipeline = Pipeline()
-        probe = pipeline.probe(Layer.FILESYSTEM, fan)
-        for latency in (100.0, 200.0, 400.0):
-            probe.record("read", latency)
-        pipeline.flush(final=True)
-        return pset_out, fan
-
-    def test_sink_fault_drops_nothing_for_healthy_sinks(self):
-        armed = plan(FaultPoint("sink.consume", "error", attempts=()))
-        damaged, fan = self.run_pipeline(armed)
-        clean, _ = self.run_pipeline(FaultPlan())
-        assert damaged.to_bytes() == clean.to_bytes()
-        assert fan.degraded()
-        assert fan.metrics()["osprof_sink_errors_total"] >= 1
-        assert fan.metrics()["osprof_sinks_degraded"] == 1
-
-    def test_fault_free_pipeline_reports_healthy(self):
-        _, fan = self.run_pipeline(FaultPlan())
-        assert not fan.degraded()
-        assert fan.metrics()["osprof_sink_errors_total"] == 0
 
 
 class TestRelayFaultMatrix:

@@ -12,6 +12,7 @@ segments exactly once.
 
 import pytest
 
+from repro.core.buckets import BucketSpec
 from repro.core.profileset import ProfileSet
 from repro.service.aio_server import AsyncProfileServer
 from repro.service.client import ServiceClient, ServiceUnavailableError
@@ -109,6 +110,28 @@ class TestForwarding:
         relay.forward()
         assert service.snapshot().to_bytes() == \
             ProfileSet.merged(sent).to_bytes()
+
+    def test_foreign_resolution_refused_so_the_batch_still_forwards(
+            self, tmp_path, root):
+        # A push the root would refuse must not be acked: spooled, it
+        # would poison every forwarding round after it.
+        service, server = root
+        relay = make_relay(tmp_path, server.address)
+        first = pset(1)
+        relay.accept_sequenced("c1", 1, first.to_bytes())
+        coarse = ProfileSet(name="coarse", spec=BucketSpec(2))
+        coarse.add("read", 100.0)
+        with pytest.raises(ValueError, match="resolution 2 differs .* 1"):
+            relay.accept_sequenced("c1", 2, coarse.to_bytes())
+        assert relay.rejected == 1
+        assert relay.accepted == 1
+        try:
+            assert relay.forward() == 1
+        finally:
+            relay.close()
+        assert relay.forward_errors == 0
+        assert relay.pending_entries() == []
+        assert service.snapshot().to_bytes() == first.to_bytes()
 
     def test_unreachable_upstream_keeps_spool(self, tmp_path):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))  # nothing there

@@ -15,13 +15,7 @@ from repro.service.server import (FRAME_HANDLERS, ProfileService,
                                   ServiceConfig)
 from repro.warehouse import Warehouse
 
-
-class FakeClock:
-    def __init__(self, start=0.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 def pset(samples):

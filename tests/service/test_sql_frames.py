@@ -16,6 +16,8 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ProfileService, ServiceConfig
 from repro.warehouse import Warehouse, execute_sql
 
+from ..clock import FakeClock
+
 
 def pset(seed=0, ops=20):
     return ProfileSet.from_operation_latencies(
@@ -53,12 +55,6 @@ def test_sql_matches_direct_execution(tmp_path, server_for):
 
 
 def test_sql_flushes_queued_segments_first(tmp_path):
-    class FakeClock:
-        now = 0.0
-
-        def __call__(self):
-            return self.now
-
     clock = FakeClock()
     service = ProfileService(
         ServiceConfig(segment_seconds=5.0, flush_batch=10),

@@ -6,13 +6,7 @@ from repro.core.buckets import BucketSpec
 from repro.core.profileset import ProfileSet, parse_binary
 from repro.service.store import SegmentStore
 
-
-class FakeClock:
-    def __init__(self, start=100.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
+from ..clock import FakeClock
 
 
 def pset(op="read", latency=100.0, ops=10):

@@ -6,10 +6,11 @@ either half of that window and replaying the log must never lose a
 committed segment and never double-count one — the worst outcome is an
 orphan file, which ``gc`` sweeps.
 
-Faults are armed through the ``warehouse.ingest`` / ``warehouse.compact``
-sites of :mod:`repro.core.faults` (the same seed-driven plan the shard
-and service suites use); the seed comes from ``OSPROF_FAULT_SEED`` so
-the CI fault sweep covers this suite too.
+Faults are armed through the ``warehouse.ingest``,
+``warehouse.ingest_state`` and ``warehouse.compact`` sites of
+:mod:`repro.core.faults` (the same seed-driven plan the shard and
+service suites use); the seed comes from ``OSPROF_FAULT_SEED`` so the
+CI fault sweep covers this suite too.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from repro.core import durable
 from repro.core.crashfs import CrashFS
 from repro.core.faults import FaultPlan, FaultPoint, InjectedFault
 from repro.core.profileset import ProfileSet
+from repro.sampling import StateProfile
 from repro.warehouse import CompactionPolicy, Warehouse
 from repro.warehouse.tiers import plan_fixpoint
 
@@ -36,6 +38,14 @@ def plan(*points):
 def pset(epoch):
     return ProfileSet.from_operation_latencies(
         {"read": [100.0 + epoch] * 4})
+
+
+def sprof(seed):
+    out = StateProfile(name="state-samples", interval=1000.0)
+    out.intervals = 4
+    out.add("blocked", "filesystem", "read", "io:read", 5 + seed)
+    out.add("running", "user", "-", "-", 2)
+    return out
 
 
 def tree(root):
@@ -102,6 +112,41 @@ class TestCrashMidIngest:
         assert reopened.segments_total == 4
         expected = ProfileSet.merged([pset(e) for e in range(4)])
         assert reopened.query("web").to_bytes() == expected.to_bytes()
+
+
+class TestCrashMidStateIngest:
+    """``ingest_state`` fires its own site: after-file, then after-log."""
+
+    # query_states answers in the canonical merged form.
+    pushed = StateProfile.merged([sprof(0)]).to_bytes()
+
+    def test_crash_after_file_commits_no_samples_segment(self, tmp_path):
+        # The 2nd state ingest dies between its file and its commit.
+        armed = Warehouse(tmp_path, fault_plan=plan(
+            FaultPoint("warehouse.ingest_state", "crash",
+                       key="after-file", attempts=(2,))))
+        armed.ingest_state("web", sprof(0), epoch=0)
+        with pytest.raises(InjectedFault):
+            armed.ingest_state("web", sprof(1), epoch=1)
+
+        reopened = Warehouse(tmp_path)
+        assert reopened.segments_total == 1
+        assert reopened.query_states("web").to_bytes() == self.pushed
+        assert len(list((tmp_path / "segments").rglob("*.ospb"))) == 2
+        reopened.gc()
+        assert reopened.orphans_removed == 1
+        assert reopened.query_states("web").to_bytes() == self.pushed
+
+    def test_crash_after_log_commit_is_durable(self, tmp_path):
+        armed = Warehouse(tmp_path, fault_plan=plan(
+            FaultPoint("warehouse.ingest_state", "crash",
+                       key="after-log", attempts=(1,))))
+        with pytest.raises(InjectedFault):
+            armed.ingest_state("web", sprof(0), epoch=0)
+
+        reopened = Warehouse(tmp_path)
+        assert reopened.segments_total == 1
+        assert reopened.query_states("web").to_bytes() == self.pushed
 
 
 class TestCrashMidCompaction:
