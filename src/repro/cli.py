@@ -780,7 +780,7 @@ def cmd_serve(args) -> int:
                   f"baseline seeded from {service.baseline_seeded} "
                   f"segment(s)", file=sys.stderr)
         _serve_until(stop, server, thread, "serve", args.drain_timeout)
-        service.flush()
+        service.close()
     return 0
 
 
@@ -914,8 +914,8 @@ def _render_top_frame(sprof, lines: int, endpoint: str) -> str:
 def cmd_top(args) -> int:
     """``osprof top``: auto-refreshing sampled wait-state view.
 
-    Each frame asks the service for its merged rolling state window
-    (``STATE_SNAPSHOT``) and prints the ``--lines`` hottest
+    Each frame asks the service for the wait-state merge of its
+    retained segments (``STATE_SNAPSHOT``) and prints the ``--lines`` hottest
     ``(state, layer, op, wait_site)`` cells by sample count — the
     "what is the system waiting on right now" view, fed by
     ``osprof run --sample-interval`` pushes.

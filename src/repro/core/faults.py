@@ -20,8 +20,6 @@ site              where it fires                  kinds
 ``client.recv``   every inbound frame read        error, delay
 ``warehouse.ingest``  between a warehouse segment crash
                   file landing and its log commit
-``warehouse.ingest_state`` the same window, for a  crash
-                  wait-state sample segment
 ``warehouse.compact`` between a merged super-     crash
                   segment landing and its log
                   commit / input deletion
@@ -72,7 +70,6 @@ FAULT_SITES = {
     "client.send": frozenset({"error", "corrupt", "delay"}),
     "client.recv": frozenset({"error", "delay"}),
     "warehouse.ingest": frozenset({"crash"}),
-    "warehouse.ingest_state": frozenset({"crash"}),
     "warehouse.compact": frozenset({"crash"}),
     # Fired inside the simulator, not the collection stack: a matching
     # point marks the in-service disk request as a media error, so the

@@ -368,20 +368,12 @@ class ProbePoint:
 
     # -- entry/exit API -----------------------------------------------------
 
-    def enter(self, operation: str,
-              context: Optional[RequestContext] = None,
-              parent: Optional[RequestContext] = None) -> ProbeToken:
+    def enter(self, operation: str) -> ProbeToken:
         """FSPROF_PRE: read the clock, stamp a context, return a token.
 
-        ``context`` uses an existing frame as-is; ``parent`` derives a
-        child frame from it; with neither, a fresh root context is
-        stamped (a new request id).
+        Every token carries a fresh root context (a new request id).
         """
-        if context is None:
-            if parent is not None:
-                context = parent.child(operation, self.layer)
-            else:
-                context = self.pipeline.new_context(operation, self.layer)
+        context = self.pipeline.new_context(operation, self.layer)
         start = self.clock() if self.clock is not None else 0.0
         return ProbeToken(operation, start, context)
 
@@ -400,11 +392,9 @@ class ProbePoint:
         return latency
 
     @contextmanager
-    def request(self, operation: str,
-                parent: Optional[RequestContext] = None
-                ) -> Iterator[ProbeToken]:
+    def request(self, operation: str) -> Iterator[ProbeToken]:
         """Probe the body of a ``with`` block as one request."""
-        token = self.enter(operation, parent=parent)
+        token = self.enter(operation)
         try:
             yield token
         finally:

@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.buckets import BucketSpec
 from ..core.profileset import ProfileSet, parse_binary
@@ -73,10 +71,6 @@ class ServiceConfig:
     #: the flush-per-close behaviour; eviction and :meth:`flush` always
     #: force the batch out regardless.
     flush_batch: int = 1
-    #: How many recent ``STATE_PUSH`` profiles the rolling state window
-    #: keeps; ``STATE_SNAPSHOT`` merges exactly this window ("last K
-    #: intervals" in ``osprof top``).
-    state_window: int = 64
 
     def __post_init__(self):
         if not 0 < self.read_timeout < math.inf:
@@ -85,8 +79,7 @@ class ServiceConfig:
         if not 0 <= self.retry_after_seconds < math.inf:
             raise ValueError(f"retry_after_seconds must be non-negative "
                              f"and finite, got {self.retry_after_seconds!r}")
-        for name in ("max_frame_bytes", "max_pending", "flush_batch",
-                     "state_window"):
+        for name in ("max_frame_bytes", "max_pending", "flush_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)!r}")
@@ -96,9 +89,10 @@ class ProfileService:
     """Thread-safe ingestion + rolling store + online alerting.
 
     With a ``warehouse`` attached, the service is durable: every
-    non-empty closed segment is flushed to it as a committed epoch, the
-    store's eviction hook re-checks that nothing leaves memory
-    unflushed, and the alerter's rolling baseline is seeded from the
+    non-empty closed segment (latency and wait-state samples) is flushed
+    to it as one committed epoch, the store's eviction hook re-checks
+    that nothing leaves memory unflushed, :meth:`close` commits the
+    open segment, and the alerter's rolling baseline is seeded from the
     warehouse's most recent history on startup, so a restart resumes
     differential analysis against real history instead of a blind
     window.
@@ -112,7 +106,7 @@ class ProfileService:
         self.warehouse = warehouse
         self.warehouse_source = warehouse_source
         self.warehouse_flush_errors = 0
-        self._flush_queue: List = []  # (segment index, pset) pairs
+        self._flush_queue: List = []  # closed segments awaiting commit
         self._flushed_epochs: set = set()
         self._epoch_base = (warehouse.index.next_epoch(warehouse_source)
                             if warehouse is not None else 0)
@@ -147,11 +141,8 @@ class ProfileService:
         # Replayed pushes acknowledged without a merge (guarded by the
         # lock); the transport counts the rest of its self-defence.
         self.ingest_duplicates = 0
-        # Wait-state sampling: a rolling window of recent STATE_PUSH
-        # profiles plus fleet-wide sampler health counters (all guarded
-        # by the lock).
-        self._state_window: Deque[StateProfile] = deque(
-            maxlen=self.config.state_window)
+        # Wait-state sampling: fleet-wide sampler health counters (all
+        # guarded by the lock); the profiles live in the store segments.
         self.state_pushes = 0
         self.state_errors = 0
         self.samples_total = 0
@@ -220,12 +211,12 @@ class ProfileService:
                      overhead_ns: int = 0) -> StateProfile:
         """Decode one wait-state profile push and absorb it.
 
-        The profile joins the rolling state window (what
-        ``STATE_SNAPSHOT`` merges), bumps the fleet-wide sampler health
-        counters, and — with a warehouse attached — is committed
-        durably as a ``samples`` segment beside the latency history.
-        Raises :class:`ValueError` on a corrupt payload; nothing is
-        recorded in that case.
+        The profile folds into the open store segment, exactly as a
+        latency push does (a push may rotate the store), and bumps the
+        fleet-wide sampler health counters.  With a warehouse attached
+        it becomes durable when its segment closes, as a ``samples``
+        segment at the segment's epoch.  Raises :class:`ValueError` on
+        a corrupt payload; nothing is recorded in that case.
         """
         try:
             sprof = StateProfile.from_bytes(payload)
@@ -234,23 +225,19 @@ class ProfileService:
                 self.state_errors += 1
             raise
         with self._lock:
-            self._state_window.append(sprof)
+            self._observe_closed(self.store.ingest_state(sprof))
             self.state_pushes += 1
             self.samples_total += sprof.total_samples()
             self.sample_intervals_total += sprof.intervals
             self.sampler_overhead_ns_total += max(overhead_ns, 0)
-            if self.warehouse is not None:
-                try:
-                    self.warehouse.ingest_state(self.warehouse_source, sprof)
-                except (OSError, ValueError):
-                    self.warehouse_flush_errors += 1
         return sprof
 
     def state_snapshot(self) -> StateProfile:
-        """The merge of the rolling state window (canonical encoding)."""
+        """The wait-state merge of every retained segment (canonical)."""
         with self._lock:
-            return StateProfile.merged(self._state_window,
-                                       name="state-window")
+            return StateProfile.merged(
+                (seg.sprof for seg in self.store.segments()
+                 if seg.sprof is not None), name="state-window")
 
     def tick(self, now: Optional[float] = None) -> List[Alert]:
         """Rotate the store on the clock alone (no push needed).
@@ -265,12 +252,12 @@ class ProfileService:
             return self._alerts[max(before - self._alerts_dropped, 0):]
 
     def _observe_closed(self, closed) -> None:
-        # Lock held.  Empty segments neither alert nor enter the
-        # baseline: an idle gap must not dilute the reference.
+        # Lock held.  Segments without latency data neither alert nor
+        # enter the baseline: an idle gap must not dilute the reference.
         for segment in closed:
-            if segment.is_empty():
-                continue
             self._flush_segment(segment)
+            if not len(segment.pset):
+                continue
             for alert in self.alerter.observe(segment.index, segment.pset):
                 self._alerts.append(alert)
             overflow = len(self._alerts) - self.config.max_alerts
@@ -291,7 +278,7 @@ class ProfileService:
         if segment.index in self._flushed_epochs:
             return
         self._flushed_epochs.add(segment.index)
-        self._flush_queue.append((segment.index, segment.pset))
+        self._flush_queue.append(segment)
         if len(self._flush_queue) >= self.config.flush_batch:
             self._flush_queued()
 
@@ -301,19 +288,31 @@ class ProfileService:
         # re-check retries before anything leaves memory for good.
         if not self._flush_queue or self.warehouse is None:
             return
-        batch = [(pset, self._epoch_base + index)
-                 for index, pset in self._flush_queue]
+        batch = []
+        for segment in self._flush_queue:
+            epoch = self._epoch_base + segment.index
+            if len(segment.pset):
+                batch.append((segment.pset, epoch))
+            if segment.sprof is not None:
+                batch.append((segment.sprof, epoch))
         try:
             self.warehouse.ingest_many(self.warehouse_source, batch)
         except (OSError, ValueError):
             self.warehouse_flush_errors += 1
-            for index, _ in self._flush_queue:
-                self._flushed_epochs.discard(index)
+            for segment in self._flush_queue:
+                self._flushed_epochs.discard(segment.index)
         self._flush_queue.clear()
 
     def flush(self) -> None:
         """Force any batched-but-uncommitted closed segments to disk."""
         with self._lock:
+            self._flush_queued()
+
+    def close(self) -> None:
+        """The graceful-stop flush: commit everything, the open segment
+        included.  A push folded into that segment afterwards is lost."""
+        with self._lock:
+            self._flush_segment(self.store.current)
             self._flush_queued()
 
     def _segment_evicted(self, segment) -> None:
@@ -349,9 +348,10 @@ class ProfileService:
     def sql(self, query: str) -> dict:
         """Run one ``osprof db sql`` query against the attached warehouse.
 
-        Batched-but-uncommitted closed segments are flushed first, so
-        the query sees everything the service has closed, not just what
-        the last batch boundary happened to commit.  Raises
+        The store first rotates on the clock (as ``ALERTS`` does) and
+        batched-but-uncommitted closed segments are flushed, so the
+        query sees every segment whose interval has ended, not just what
+        the last push or batch boundary happened to commit.  Raises
         :class:`ValueError` (a clean ``ERROR`` frame) without a
         warehouse, on a malformed query, or on a missing baseline.
         """
@@ -360,6 +360,7 @@ class ProfileService:
                 "sql queries need a warehouse: start the server with "
                 "--db DIR")
         from ..warehouse.sql import execute_sql
+        self.tick()
         self.flush()
         return execute_sql(self.warehouse, query).as_dict()
 
@@ -407,7 +408,6 @@ class ProfileService:
                 f"{wh.scrub_repaired_total if wh else 0}",
                 f"osprof_state_pushes_total {self.state_pushes}",
                 f"osprof_state_errors_total {self.state_errors}",
-                f"osprof_state_window {len(self._state_window)}",
                 f"osprof_samples_total {self.samples_total}",
                 f"osprof_sample_intervals_total "
                 f"{self.sample_intervals_total}",

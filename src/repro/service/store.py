@@ -4,10 +4,10 @@
 buckets to capture latency at predefined time intervals" (Section 3.1).
 :class:`SegmentStore` keeps that idea running indefinitely: wall time is
 divided into fixed-length segments, the decoded rows of every pushed
-profile are folded into the segment containing its arrival time, and
-only the most recent ``retention`` closed segments are kept — a ring
-buffer of complete profiles, each as cheap as the paper's "≈1 KB per
-operation" dumps.
+profile (and every pushed wait-state profile) are folded into the
+segment containing its arrival time, and only the most recent
+``retention`` closed segments are kept — a ring buffer of complete
+profiles, each as cheap as the paper's "≈1 KB per operation" dumps.
 
 Because profile merging is plain histogram addition (commutative and
 associative), the merge of everything retained is byte-identical to a
@@ -23,6 +23,7 @@ from typing import Callable, Iterable, List, Optional
 
 from ..core.buckets import BucketSpec
 from ..core.profileset import ProfileSet, Row
+from ..sampling.stateprofile import StateProfile
 
 __all__ = ["Segment", "SegmentStore", "PushLedger"]
 
@@ -84,9 +85,12 @@ class Segment:
     started: float        #: clock value at the segment's lower edge
     pset: ProfileSet = field(default_factory=ProfileSet)
     ingests: int = 0      #: pushes merged into this segment
+    #: Merge of the wait-state pushes that arrived in this slice;
+    #: ``None`` until the first one does.
+    sprof: Optional[StateProfile] = None
 
     def is_empty(self) -> bool:
-        return len(self.pset) == 0
+        return len(self.pset) == 0 and self.sprof is None
 
 
 class SegmentStore:
@@ -182,6 +186,18 @@ class SegmentStore:
         closed = self.advance(now)
         self._current.pset.fold_rows(rows)
         self._current.ingests += 1
+        return closed
+
+    def ingest_state(self, sprof: StateProfile,
+                     now: Optional[float] = None) -> List[Segment]:
+        """Fold one pushed wait-state profile into the current segment;
+        rotates and returns what the arrival closed, as :meth:`ingest`."""
+        closed = self.advance(now)
+        current = self._current
+        if current.sprof is None:
+            # The first push's period, so one-period pushes keep it.
+            current.sprof = StateProfile(interval=sprof.interval)
+        current.sprof.merge(sprof)
         return closed
 
     # -- queries -----------------------------------------------------------

@@ -181,7 +181,11 @@ class Warehouse:
         return self.ingest_many(source, [(pset, epoch)])[0]
 
     def ingest_many(self, source: str, items) -> List[SegmentMeta]:
-        """Persist a batch of ``(pset, epoch)`` segments with one commit.
+        """Persist a batch of ``(profile, epoch)`` segments with one commit.
+
+        Each *profile* is a :class:`ProfileSet` (a latency segment) or a
+        :class:`StateProfile` (a wait-state ``samples`` segment; see
+        :meth:`ingest_state`); only the meta built for it differs.
 
         The write-then-commit discipline holds batch-wide: every
         segment file lands first (atomic rename each), then all commit
@@ -200,7 +204,7 @@ class Warehouse:
             metas: List[SegmentMeta] = []
             payloads: List[bytes] = []
             next_epoch = None
-            for offset, (pset, epoch) in enumerate(items):
+            for offset, (profile, epoch) in enumerate(items):
                 if epoch is None:
                     if next_epoch is None:
                         next_epoch = self.index.next_epoch(source)
@@ -213,21 +217,27 @@ class Warehouse:
                 if epoch < 0:
                     raise WarehouseError(f"negative epoch {epoch}")
                 seg_id = self.index.next_id + offset
-                payload = pset.to_bytes()
+                payload = profile.to_bytes()
                 resid = []
-                for prof in pset:
-                    components = prof.histogram.latency_residual()
-                    if components:
-                        resid.append((prof.operation, tuple(components)))
+                if isinstance(profile, StateProfile):
+                    kind = "samples"
+                    ops = {(layer, op) for (_state, layer, op, _site)
+                           in profile.cells()}
+                else:
+                    kind = "profile"
+                    ops = [(prof.layer, prof.operation) for prof in profile]
+                    for prof in profile:
+                        components = prof.histogram.latency_residual()
+                        if components:
+                            resid.append((prof.operation, tuple(components)))
                 metas.append(SegmentMeta(
                     seg_id=seg_id, source=source, tier=0, epoch=epoch,
                     span=1,
                     file=self._segment_file(source, 0, epoch, seg_id),
-                    nbytes=len(payload),
-                    ops=tuple(sorted((prof.layer, prof.operation)
-                                     for prof in pset)),
+                    nbytes=len(payload), ops=tuple(sorted(ops)),
                     resid=tuple(sorted(resid)),
-                    crc=int.from_bytes(payload[-4:], "little")))
+                    crc=int.from_bytes(payload[-4:], "little"),
+                    kind=kind))
                 payloads.append(payload)
             for meta, payload in zip(metas, payloads):
                 self._write_segment(meta.file, payload)
@@ -250,30 +260,7 @@ class Warehouse:
         and retention never see them.  ``epoch=None`` appends after
         everything stored for the source (either family).
         """
-        _check_name("source", source)
-        with self._lock:
-            epoch = self.index.next_epoch(source) if epoch is None \
-                else int(epoch)
-            if epoch < 0:
-                raise WarehouseError(f"negative epoch {epoch}")
-            seg_id = self.index.next_id
-            payload = sprof.to_bytes()
-            ops = sorted({(layer, op)
-                          for (_state, layer, op, _site) in sprof.cells()})
-            meta = SegmentMeta(
-                seg_id=seg_id, source=source, tier=0, epoch=epoch,
-                span=1,
-                file=self._segment_file(source, 0, epoch, seg_id),
-                nbytes=len(payload), ops=tuple(ops),
-                crc=int.from_bytes(payload[-4:], "little"),
-                kind="samples")
-            self._write_segment(meta.file, payload)
-            self._fire("warehouse.ingest_state", "after-file")
-            record = meta.to_record()
-            self.log.append(record)
-            self._fire("warehouse.ingest_state", "after-log")
-            self.index.apply(record)
-            return meta
+        return self.ingest_many(source, [(sprof, epoch)])[0]
 
     # -- reading -------------------------------------------------------------
 

@@ -37,20 +37,25 @@ class TestPairGenerator:
             PairGenerator().pairs(0)
 
 
+@pytest.fixture(scope="module")
+def study_pairs():
+    """The seed-2006 ``(calibration, evaluation)`` pairs, built once."""
+    gen = PairGenerator(seed=2006, ops=8000)
+    calibration = gen.pairs(120)
+    evaluation = gen.pairs(250)
+    return calibration, evaluation
+
+
 class TestEvaluateMethods:
-    def test_emd_beats_chi_squared(self):
-        gen = PairGenerator(seed=2006, ops=8000)
-        calibration = gen.pairs(120)
-        evaluation = gen.pairs(250)
+    def test_emd_beats_chi_squared(self, study_pairs):
+        calibration, evaluation = study_pairs
         results = evaluate_methods(evaluation, calibration,
                                    methods=["emd", "chi_squared"])
         assert results["emd"].false_rate <= \
             results["chi_squared"].false_rate
 
-    def test_rates_reasonably_low(self):
-        gen = PairGenerator(seed=2006, ops=8000)
-        calibration = gen.pairs(120)
-        evaluation = gen.pairs(250)
+    def test_rates_reasonably_low(self, study_pairs):
+        calibration, evaluation = study_pairs
         results = evaluate_methods(evaluation, calibration,
                                    methods=["emd"])
         assert results["emd"].false_rate < 0.15

@@ -3,7 +3,7 @@
 ``osprof run --sample-interval`` writes the state profile beside the
 measured dump without moving a byte of it; ``osprof push --samples``
 ships it to a server; ``osprof top --once`` and ``osprof db sql``
-read the same rolling window back.
+read the same samples back, ``db sql`` once their segment has closed.
 """
 
 import pytest
@@ -13,6 +13,8 @@ from repro.sampling import StateProfile
 from repro.service.aio_server import AsyncProfileServer
 from repro.service.server import ProfileService
 from repro.warehouse import Warehouse
+
+from ..clock import FakeClock
 
 RUN_ARGS = ["run", "randomread", "--processes", "2",
             "--iterations", "150", "--seed", "9"]
@@ -64,8 +66,11 @@ class TestRunSampled:
 
 @pytest.fixture
 def server(tmp_path):
-    service = ProfileService(warehouse=Warehouse(tmp_path / "wh"))
+    clock = FakeClock()
+    service = ProfileService(clock=clock,
+                             warehouse=Warehouse(tmp_path / "wh"))
     srv = AsyncProfileServer(service)
+    srv.test_clock = clock
     srv.serve_in_thread()
     yield srv
     srv.server_close()
@@ -119,6 +124,8 @@ class TestPushTopWatch:
         osps = sampled_dump.with_name(sampled_dump.name + ".osps")
         endpoint = self.endpoint(server)
         assert main(["push", endpoint, "--samples", str(osps)]) == 0
+        # Samples commit when their segment closes.
+        server.test_clock.advance(server.service.config.segment_seconds)
         rc = main(["db", "sql", "--endpoint", endpoint,
                    "SELECT state, wait_site, count() "
                    "GROUP BY state, wait_site "

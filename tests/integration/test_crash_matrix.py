@@ -32,6 +32,7 @@ import pytest
 from repro.core import durable
 from repro.core.crashfs import MODES, CrashFS
 from repro.core.profileset import ProfileSet
+from repro.sampling import StateProfile
 from repro.service.relay import RelayService
 from repro.service.spool import Spool
 from repro.warehouse import CompactionPolicy, Warehouse, WarehouseIndex
@@ -122,6 +123,78 @@ class TestWarehouseMatrix:
         violations = enumerate_images(
             fs, fs.mark(), tmp_path / "img",
             lambda img, p, m: check_warehouse(img, p, m, states))
+        assert violations == []
+
+
+# -- warehouse: one mixed latency + samples batch ----------------------------
+
+def sprof(tag):
+    out = StateProfile(interval=500.0)
+    out.intervals = 2
+    out.add("blocked", "filesystem", "read", "io:read", 3 + tag)
+    out.add("running", "user", "-", "-", 1 + tag)
+    return out
+
+
+#: Two ``ingest_many`` batches of closed service segments: each epoch's
+#: latency profile, then its wait-state samples, as the service flushes
+#: them.
+MIXED = [[(pset(0), 0), (sprof(0), 0), (pset(1), 1), (sprof(1), 1)],
+         [(pset(2), 2), (sprof(2), 2)]]
+
+
+def drive_mixed(fs, live):
+    """Commit the :data:`MIXED` batches; return the op mark of each ack."""
+    with durable.recording(fs):
+        wh = Warehouse(live, policy=TINY)
+        acks = []
+        for batch in MIXED:
+            wh.ingest_many("web", batch)
+            acks.append(fs.mark())
+    return acks
+
+
+def check_mixed(img, point, mode, acks):
+    violations = []
+    items = [item for batch in MIXED for item in batch]
+    acked = sum(len(batch) for batch, mark in zip(MIXED, acks)
+                if mark <= point)
+    try:
+        wh = Warehouse(img, policy=TINY)
+        committed = [(meta.kind, meta.epoch) for meta in sorted(
+            wh.segments("web", kind=None), key=lambda m: m.seg_id)]
+        kinds = [("samples" if isinstance(profile, StateProfile)
+                  else "profile", epoch) for profile, epoch in items]
+        if committed != kinds[:len(committed)]:
+            violations.append(f"committed {committed} is not a prefix "
+                              f"of the batches")
+        if len(committed) < acked:
+            violations.append(f"{acked - len(committed)} acked "
+                              f"segment(s) lost")
+        prefix = [profile for profile, _ in items[:len(committed)]]
+        want = ProfileSet.merged(
+            p for p in prefix if isinstance(p, ProfileSet)).to_bytes()
+        want_states = StateProfile.merged(
+            p for p in prefix if isinstance(p, StateProfile)).to_bytes()
+        if wh.query("web").to_bytes() != want:
+            violations.append("latency query != merge of the prefix")
+        if wh.query_states("web").to_bytes() != want_states:
+            violations.append("state query != merge of the prefix")
+        again = Warehouse(img, policy=TINY)
+        if again.query_states("web").to_bytes() != want_states:
+            violations.append("recovering twice != recovering once")
+    except Exception as exc:
+        violations.append(f"recovery raised {exc!r}")
+    return violations
+
+
+class TestMixedBatchMatrix:
+    def test_every_crash_image_holds_a_committed_prefix(self, tmp_path):
+        fs = CrashFS(tmp_path / "live")
+        acks = drive_mixed(fs, tmp_path / "live")
+        violations = enumerate_images(
+            fs, fs.mark(), tmp_path / "img",
+            lambda img, p, m: check_mixed(img, p, m, acks))
         assert violations == []
 
 

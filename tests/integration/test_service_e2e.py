@@ -192,6 +192,8 @@ class TestCliServePushWatch:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            proc.stderr.close()
 
     def test_push_requires_source(self, capsys):
         from repro.cli import main
@@ -200,12 +202,13 @@ class TestCliServePushWatch:
 
 class TestCliServeStops:
     def test_sigterm_drains_and_flushes_with_sigint_ignored(self, tmp_path):
-        """SIGTERM commits the queued batch, even from a background job.
+        """SIGTERM commits what it holds, even from a background job.
 
         A shell starts a background job with SIGINT ignored, so the
         server must stop on SIGTERM as on SIGINT: drain (cancelling the
-        idle client left connected, and saying so), then flush the
-        closed segment that ``--flush-batch 4`` still holds.
+        idle client left connected, and saying so), then commit the
+        closed segment that ``--flush-batch 4`` still holds and the
+        open segment.
         """
         from repro.warehouse import Warehouse
         db = tmp_path / "wh"
@@ -240,5 +243,6 @@ class TestCliServeStops:
                 proc.wait()
             proc.stderr.close()
         stored = Warehouse(str(db)).query("service")
-        assert stored.to_bytes() == ProfileSet.merged([first]).to_bytes()
+        assert stored.to_bytes() == ProfileSet.merged(
+            [first, second]).to_bytes()
 

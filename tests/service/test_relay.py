@@ -38,23 +38,35 @@ def root():
     server.server_close()
 
 
-def make_relay(tmp_path, upstream, **kwargs):
-    kwargs.setdefault("sleep", lambda s: None)
-    kwargs.setdefault("retries", 1)
-    return RelayService(tmp_path / "leaf", upstream=upstream, **kwargs)
+@pytest.fixture()
+def make_relay():
+    """Build relays on ``tmp_path / "leaf"``; each is closed at teardown,
+    so no upstream connection outlives its test."""
+    made = []
+
+    def build(tmp_path, upstream, **kwargs):
+        kwargs.setdefault("sleep", lambda s: None)
+        kwargs.setdefault("retries", 1)
+        relay = RelayService(tmp_path / "leaf", upstream=upstream, **kwargs)
+        made.append(relay)
+        return relay
+
+    yield build
+    for relay in made:
+        relay.close()
 
 
 class TestAcceptPath:
     """Spool-before-ack, dedup, and rejection accounting."""
 
-    def test_accept_spools_and_acks(self, tmp_path):
+    def test_accept_spools_and_acks(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         status, fresh = relay.accept_sequenced("c1", 1, pset(1).to_bytes())
         assert fresh and "relayed" in status
         assert relay.pending_entries() != []
         assert relay.accepted == 1
 
-    def test_duplicate_sequence_not_respooled(self, tmp_path):
+    def test_duplicate_sequence_not_respooled(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         relay.accept_sequenced("c1", 1, pset(1).to_bytes())
         before = relay.pending_entries()
@@ -63,7 +75,8 @@ class TestAcceptPath:
         assert relay.pending_entries() == before
         assert relay.duplicates == 1
 
-    def test_corrupt_payload_raises_before_spooling(self, tmp_path):
+    def test_corrupt_payload_raises_before_spooling(self, tmp_path,
+                                                    make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         with pytest.raises(ValueError):
             relay.accept_sequenced("c1", 1, b"garbage")
@@ -73,7 +86,7 @@ class TestAcceptPath:
         status, fresh = relay.accept_sequenced("c1", 1, pset(1).to_bytes())
         assert fresh
 
-    def test_snapshot_merges_pending(self, tmp_path):
+    def test_snapshot_merges_pending(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         sent = [pset(i) for i in range(3)]
         for i, ps in enumerate(sent):
@@ -85,7 +98,8 @@ class TestAcceptPath:
 class TestForwarding:
     """Batch composition, canonical merge, and the happy path."""
 
-    def test_forward_merges_batches_byte_identically(self, tmp_path, root):
+    def test_forward_merges_batches_byte_identically(self, tmp_path, root,
+                                                     make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address, batch=3)
         sent = []
@@ -101,7 +115,7 @@ class TestForwarding:
         assert service.snapshot().to_bytes() == \
             ProfileSet.merged(sent).to_bytes()
 
-    def test_plain_pushes_forwarded_too(self, tmp_path, root):
+    def test_plain_pushes_forwarded_too(self, tmp_path, root, make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address)
         sent = [pset(9), pset(10)]
@@ -112,7 +126,7 @@ class TestForwarding:
             ProfileSet.merged(sent).to_bytes()
 
     def test_foreign_resolution_refused_so_the_batch_still_forwards(
-            self, tmp_path, root):
+            self, tmp_path, root, make_relay):
         # A push the root would refuse must not be acked: spooled, it
         # would poison every forwarding round after it.
         service, server = root
@@ -133,7 +147,7 @@ class TestForwarding:
         assert relay.pending_entries() == []
         assert service.snapshot().to_bytes() == first.to_bytes()
 
-    def test_unreachable_upstream_keeps_spool(self, tmp_path):
+    def test_unreachable_upstream_keeps_spool(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))  # nothing there
         relay.accept_sequenced("c1", 1, pset(1).to_bytes())
         with pytest.raises(ServiceUnavailableError):
@@ -141,7 +155,7 @@ class TestForwarding:
         assert relay.forward_errors == 1
         assert len(relay.pending_entries()) == 1
 
-    def test_forward_nothing_is_a_noop(self, tmp_path):
+    def test_forward_nothing_is_a_noop(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         assert relay.forward() == 0
 
@@ -150,7 +164,7 @@ class TestCrashWindows:
     """Every restart window converges to exactly-once at the root."""
 
     def test_replay_after_crash_between_ack_and_commit(self, tmp_path,
-                                                       root):
+                                                       root, make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address, batch=8)
         sent = [pset(i) for i in range(5)]
@@ -185,7 +199,7 @@ class TestCrashWindows:
         assert service.snapshot().to_bytes() == \
             ProfileSet.merged(sent).to_bytes()
 
-    def test_replay_after_crash_before_push(self, tmp_path, root):
+    def test_replay_after_crash_before_push(self, tmp_path, root, make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address, batch=8)
         sent = [pset(i + 30) for i in range(3)]
@@ -200,7 +214,7 @@ class TestCrashWindows:
         assert service.snapshot().to_bytes() == \
             ProfileSet.merged(sent).to_bytes()
 
-    def test_restart_purges_below_watermark(self, tmp_path, root):
+    def test_restart_purges_below_watermark(self, tmp_path, root, make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address)
         relay.accept_sequenced("c1", 1, pset(1).to_bytes())
@@ -221,7 +235,7 @@ class TestCrashWindows:
 class TestLedgerDurability:
     """Downstream dedup survives restarts through state + spool scan."""
 
-    def test_forwarded_marks_survive_restart(self, tmp_path, root):
+    def test_forwarded_marks_survive_restart(self, tmp_path, root, make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address)
         relay.accept_sequenced("c1", 3, pset(1).to_bytes())
@@ -231,7 +245,7 @@ class TestLedgerDurability:
                                                 pset(1).to_bytes())
         assert not fresh and "duplicate" in status
 
-    def test_spooled_marks_rebuilt_on_restart(self, tmp_path):
+    def test_spooled_marks_rebuilt_on_restart(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         relay.accept_sequenced("c1", 2, pset(1).to_bytes())
         # Never forwarded; the ledger entry must come from the spool.
@@ -265,7 +279,7 @@ class TestLedgerDurability:
 class TestRelayServer:
     """The served relay: wire dedup, metrics, drain-forwards."""
 
-    def test_served_relay_forwards_on_drain(self, tmp_path, root):
+    def test_served_relay_forwards_on_drain(self, tmp_path, root, make_relay):
         service, server = root
         relay = make_relay(tmp_path, server.address, batch=100)
         leaf = RelayServer(relay, flush_interval=None)  # no forwarder
@@ -290,7 +304,8 @@ class TestRelayServer:
         finally:
             leaf.server_close()
 
-    def test_root_only_frames_refused_connection_survives(self, tmp_path):
+    def test_root_only_frames_refused_connection_survives(self, tmp_path,
+                                                          make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         leaf = RelayServer(relay, flush_interval=None)
         leaf.serve_in_thread()

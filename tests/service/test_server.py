@@ -265,7 +265,7 @@ class TestHardening:
         ("retry_after_seconds", math.inf),
         ("max_frame_bytes", 0), ("max_frame_bytes", -1),
         ("max_pending", -3),
-        ("flush_batch", 0), ("state_window", 0),
+        ("flush_batch", 0),
     ])
     def test_rejects_hardening_values_that_break_serving(self, field,
                                                          value):
@@ -275,7 +275,6 @@ class TestHardening:
     @pytest.mark.parametrize("field, value", [
         ("read_timeout", 1e-3), ("retry_after_seconds", 0.0),
         ("max_frame_bytes", 1), ("max_pending", 1), ("flush_batch", 1),
-        ("state_window", 1),
     ])
     def test_accepts_the_smallest_serving_values(self, field, value):
         assert getattr(ServiceConfig(**{field: value}), field) == value

@@ -11,6 +11,7 @@ clean ``ServiceError`` on a connection that stays usable.
 import pytest
 
 from repro.core.profileset import ProfileSet
+from repro.sampling import StateProfile
 from repro.service.aio_server import AsyncProfileServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ProfileService, ServiceConfig
@@ -67,6 +68,22 @@ def test_sql_flushes_queued_segments_first(tmp_path):
     reply = service.sql("SELECT count()")
     assert reply["rows"] == [[sent.total_ops()]]
     assert service.warehouse.segments_total == 1
+
+
+def test_sql_sees_the_ended_segment_of_a_quiet_service(tmp_path):
+    # State pushes commit with their segment; a query after the
+    # segment's interval ended sees them with no later push or tick.
+    clock = FakeClock()
+    service = ProfileService(
+        ServiceConfig(segment_seconds=5.0), clock=clock,
+        warehouse=Warehouse(tmp_path))
+    sprof = StateProfile(interval=500.0)
+    sprof.add("blocked", "filesystem", "read", "io:read", 9)
+    service.ingest_state(sprof.to_bytes())
+    query = "SELECT state, count() GROUP BY state"
+    assert service.sql(query)["rows"] == []
+    clock.now += 5.0
+    assert service.sql(query)["rows"] == [["blocked", 9]]
 
 
 @pytest.mark.parametrize("query,needle", [

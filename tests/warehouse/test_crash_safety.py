@@ -6,8 +6,8 @@ either half of that window and replaying the log must never lose a
 committed segment and never double-count one — the worst outcome is an
 orphan file, which ``gc`` sweeps.
 
-Faults are armed through the ``warehouse.ingest``,
-``warehouse.ingest_state`` and ``warehouse.compact`` sites of
+Faults are armed through the ``warehouse.ingest`` and
+``warehouse.compact`` sites of
 :mod:`repro.core.faults` (the same seed-driven plan the shard and
 service suites use); the seed comes from ``OSPROF_FAULT_SEED`` so the
 CI fault sweep covers this suite too.
@@ -115,7 +115,8 @@ class TestCrashMidIngest:
 
 
 class TestCrashMidStateIngest:
-    """``ingest_state`` fires its own site: after-file, then after-log."""
+    """``ingest_state`` commits through ``ingest_many``, so it fires the
+    ``warehouse.ingest`` site: after-file, then after-log."""
 
     # query_states answers in the canonical merged form.
     pushed = StateProfile.merged([sprof(0)]).to_bytes()
@@ -123,7 +124,7 @@ class TestCrashMidStateIngest:
     def test_crash_after_file_commits_no_samples_segment(self, tmp_path):
         # The 2nd state ingest dies between its file and its commit.
         armed = Warehouse(tmp_path, fault_plan=plan(
-            FaultPoint("warehouse.ingest_state", "crash",
+            FaultPoint("warehouse.ingest", "crash",
                        key="after-file", attempts=(2,))))
         armed.ingest_state("web", sprof(0), epoch=0)
         with pytest.raises(InjectedFault):
@@ -139,7 +140,7 @@ class TestCrashMidStateIngest:
 
     def test_crash_after_log_commit_is_durable(self, tmp_path):
         armed = Warehouse(tmp_path, fault_plan=plan(
-            FaultPoint("warehouse.ingest_state", "crash",
+            FaultPoint("warehouse.ingest", "crash",
                        key="after-log", attempts=(1,))))
         with pytest.raises(InjectedFault):
             armed.ingest_state("web", sprof(0), epoch=0)
