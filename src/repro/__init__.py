@@ -17,12 +17,16 @@ Quick start::
     print(sys.fs_profiles().dumps())   # OSprof text profiles
 """
 
-from .core import (BucketSpec, LatencyBuckets, Profile, ProfileSet, Profiler,
-                   SampledProfiler, ValueCorrelator)
-from .system import System
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
 __all__ = ["BucketSpec", "LatencyBuckets", "Profile", "ProfileSet",
            "Profiler", "SampledProfiler", "ValueCorrelator", "System",
            "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("BucketSpec", "LatencyBuckets", "Profile", "ProfileSet",
+              "Profiler", "SampledProfiler", "ValueCorrelator"),
+    ".system": ("System",),
+})

@@ -13,26 +13,7 @@
 * :mod:`~repro.analysis.report` — ASCII/Gnuplot rendering, checksums.
 """
 
-from .anomaly import ChangePoint, change_points, distance_series
-from .cluster import (ClusterFinding, ClusterReport, NodeProfiles,
-                      aggregate, outlier_nodes)
-from .compare import (METRICS, chi_squared, compare, earth_movers_distance,
-                      intersection_distance, jeffrey_divergence,
-                      kullback_leibler, minkowski, total_latency_difference,
-                      total_ops_difference)
-from .investigate import Finding, Investigation
-from .groundtruth import (MethodAccuracy, PairGenerator, PeakSpec,
-                          ProfilePairSample, evaluate_methods)
-from .peaks import Peak, find_peaks, peak_signature, peaks_differ
-from .preemption import (PreemptionPrediction, expected_preempted_requests,
-                         forced_preemption_probability, predict_preemption,
-                         quantum_bucket)
-from .priorknowledge import (PAPER_TIMES, CharacteristicTime,
-                             CharacteristicTimes)
-from .report import (ConsistencyError, check_consistency, gnuplot_data,
-                     render_profile, render_profile_set, render_sampled)
-from .select import (ProfilePairReport, ProfileSelector, SelectionConfig,
-                     top_contributors)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChangePoint", "change_points", "distance_series",
@@ -53,3 +34,26 @@ __all__ = [
     "ProfilePairReport", "ProfileSelector", "SelectionConfig",
     "top_contributors",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".anomaly": ("ChangePoint", "change_points", "distance_series"),
+    ".cluster": ("ClusterFinding", "ClusterReport", "NodeProfiles",
+                 "aggregate", "outlier_nodes"),
+    ".compare": ("METRICS", "chi_squared", "compare", "earth_movers_distance",
+                 "intersection_distance", "jeffrey_divergence",
+                 "kullback_leibler", "minkowski", "total_latency_difference",
+                 "total_ops_difference"),
+    ".investigate": ("Finding", "Investigation"),
+    ".groundtruth": ("MethodAccuracy", "PairGenerator", "PeakSpec",
+                     "ProfilePairSample", "evaluate_methods"),
+    ".peaks": ("Peak", "find_peaks", "peak_signature", "peaks_differ"),
+    ".preemption": ("PreemptionPrediction", "expected_preempted_requests",
+                    "forced_preemption_probability", "predict_preemption",
+                    "quantum_bucket"),
+    ".priorknowledge": ("PAPER_TIMES", "CharacteristicTime",
+                        "CharacteristicTimes"),
+    ".report": ("ConsistencyError", "check_consistency", "gnuplot_data",
+                "render_profile", "render_profile_set", "render_sampled"),
+    ".select": ("ProfilePairReport", "ProfileSelector", "SelectionConfig",
+                "top_contributors"),
+})

@@ -77,16 +77,15 @@ import json
 import signal
 import sys
 import threading
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
+# Only what building the parser needs; each subcommand imports the rest
+# where it runs, so `osprof serve` never loads the simulated machine.
 from .analysis.compare import METRICS
-from .analysis.peaks import find_peaks
-from .analysis.priorknowledge import CharacteristicTimes
-from .analysis.report import gnuplot_data, render_profile
-from .analysis.select import ProfileSelector, SelectionConfig
-from .core.profileset import ProfileSet
-from .system import System
 from .workloads.runner import WORKLOAD_NAMES as WORKLOADS
+
+if TYPE_CHECKING:
+    from .core.profileset import ProfileSet
 
 __all__ = ["main", "build_parser"]
 
@@ -476,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> ProfileSet:
+    from .core.profileset import ProfileSet
     return ProfileSet.load_path(path)
 
 
@@ -493,12 +493,12 @@ def _write_pset(pset: ProfileSet, output: str, format: str) -> None:
 
 
 def cmd_run(args) -> int:
-    from .core.shard import DEGRADED_ATTRIBUTE, collect_sharded
     from .scenarios import (UnknownScenarioError, get_scenario,
                             render_scenarios)
     if args.list_scenarios:
         print(render_scenarios())
         return 0
+    from .core.shard import DEGRADED_ATTRIBUTE, collect_sharded
     scenario = None
     if args.scenario is not None:
         try:
@@ -609,6 +609,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .analysis.report import render_profile
     pset = _load(args.dump)
     profiles = pset.by_total_latency()
     if args.op:
@@ -628,6 +629,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_peaks(args) -> int:
+    from .analysis.peaks import find_peaks
+    from .analysis.priorknowledge import CharacteristicTimes
     pset = _load(args.dump)
     table = CharacteristicTimes()
     for prof in pset.by_total_latency():
@@ -645,6 +648,7 @@ def cmd_peaks(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .analysis.select import ProfileSelector, SelectionConfig
     set_a = _load(args.dump_a)
     set_b = _load(args.dump_b)
     selector = ProfileSelector(SelectionConfig(metric=args.metric))
@@ -672,6 +676,7 @@ def cmd_sampled(args) -> int:
     from .analysis.report import gnuplot_sampled_data, render_sampled
     from .fs import make_flush_daemons
     from .sim.engine import seconds
+    from .system import System
     from .workloads import build_source_tree, compile_body, grep_body
 
     system = System.build(fs_type=args.fs, seed=args.seed,
@@ -1081,6 +1086,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_gnuplot(args) -> int:
+    from .analysis.report import gnuplot_data
     pset = _load(args.dump)
     for prof in pset.by_total_latency():
         sys.stdout.write(gnuplot_data(prof))

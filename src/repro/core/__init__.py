@@ -16,17 +16,7 @@ The public surface of the paper's primary contribution:
 * :class:`SyscallProfiler` — user-level profiling of the host OS.
 """
 
-from .buckets import BucketSpec, LatencyBuckets, DEFAULT_RESOLUTION, MAX_BUCKET
-from .correlation import PeakRange, ValueCorrelator
-from .detours import InterceptionError, Interceptor
-from .procfs import PROC_ROOT, ProcFs
-from .hostprof import SyscallProfiler, profile_callable
-from .layers import LayerStack, isolate_layer
-from .locking import LossySharedBuckets, PerThreadBuckets
-from .profile import Layer, Profile
-from .profileset import ProfileSet
-from .profiler import NOMINAL_HZ, Profiler, tsc_clock
-from .sampling import SampledProfiler, SampledProfileSeries
+from .._lazy import lazy_exports
 
 __all__ = [
     "BucketSpec", "LatencyBuckets", "DEFAULT_RESOLUTION", "MAX_BUCKET",
@@ -40,3 +30,18 @@ __all__ = [
     "NOMINAL_HZ", "Profiler", "tsc_clock",
     "SampledProfiler", "SampledProfileSeries",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".buckets": ("BucketSpec", "LatencyBuckets", "DEFAULT_RESOLUTION",
+                 "MAX_BUCKET"),
+    ".correlation": ("PeakRange", "ValueCorrelator"),
+    ".detours": ("InterceptionError", "Interceptor"),
+    ".procfs": ("PROC_ROOT", "ProcFs"),
+    ".hostprof": ("SyscallProfiler", "profile_callable"),
+    ".layers": ("LayerStack", "isolate_layer"),
+    ".locking": ("LossySharedBuckets", "PerThreadBuckets"),
+    ".profile": ("Layer", "Profile"),
+    ".profileset": ("ProfileSet",),
+    ".profiler": ("NOMINAL_HZ", "Profiler", "tsc_clock"),
+    ".sampling": ("SampledProfiler", "SampledProfileSeries"),
+})

@@ -39,7 +39,6 @@ profile can never masquerade as a complete one.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -165,7 +164,10 @@ def run_shard(task: ShardTask) -> bytes:
 
 def _pool_context():
     # fork skips re-importing the package in workers; fall back to the
-    # platform default (spawn) where fork is unavailable.
+    # platform default (spawn) where fork is unavailable.  Imported here
+    # so that a one-shard run, which takes the serial path, never loads
+    # multiprocessing.
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None)

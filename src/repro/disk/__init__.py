@@ -10,13 +10,17 @@ The instrumented driver (:class:`ScsiDriver`) profiles any of them
 dispatch-to-completion.
 """
 
-from .cache import SegmentCache
-from .device import DEFAULT_COMMAND_OVERHEAD, Disk, DiskRequest
-from .driver import ScsiDriver
-from .geometry import BLOCK_SIZE, DiskGeometry
-from .model import (DeviceModel, RAID0Model, SpindleModel, SSDModel,
-                    ThrottledModel)
+from .._lazy import lazy_exports
 
 __all__ = ["SegmentCache", "DEFAULT_COMMAND_OVERHEAD", "Disk", "DiskRequest",
            "ScsiDriver", "BLOCK_SIZE", "DiskGeometry", "DeviceModel",
            "SpindleModel", "SSDModel", "RAID0Model", "ThrottledModel"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("SegmentCache",),
+    ".device": ("DEFAULT_COMMAND_OVERHEAD", "Disk", "DiskRequest"),
+    ".driver": ("ScsiDriver",),
+    ".geometry": ("BLOCK_SIZE", "DiskGeometry"),
+    ".model": ("DeviceModel", "RAID0Model", "SpindleModel", "SSDModel",
+               "ThrottledModel"),
+})

@@ -1,15 +1,6 @@
 """Network substrate: TCP with delayed ACKs, SMB/CIFS, packet sniffer."""
 
-from .cifs_client import FLAVOR_LINUX, FLAVOR_WINDOWS, CifsClient
-from .cifs_server import CifsServer
-from .mount import CifsMount, build_cifs_mount, build_nfs_mount
-from .nfs import ATTR_CACHE_TTL, NFS_MAX_READ, NfsClient, NfsServer
-from .smb import (ENTRY_WIRE_SIZE, FIND_BATCH, DirEntryInfo,
-                  FindFirstRequest, FindNextRequest, FindReply, ReadReply,
-                  ReadRequest)
-from .sniffer import CapturedPacket, Sniffer, render_timeline
-from .tcp import (DELAYED_ACK_TIMEOUT, MAX_SEGMENT, Packet, TcpConnection,
-                  TcpEndpoint)
+from .._lazy import lazy_exports
 
 __all__ = [
     "FLAVOR_LINUX", "FLAVOR_WINDOWS", "CifsClient", "CifsServer",
@@ -21,3 +12,16 @@ __all__ = [
     "DELAYED_ACK_TIMEOUT", "MAX_SEGMENT", "Packet", "TcpConnection",
     "TcpEndpoint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cifs_client": ("FLAVOR_LINUX", "FLAVOR_WINDOWS", "CifsClient"),
+    ".cifs_server": ("CifsServer",),
+    ".mount": ("CifsMount", "build_cifs_mount", "build_nfs_mount"),
+    ".nfs": ("ATTR_CACHE_TTL", "NFS_MAX_READ", "NfsClient", "NfsServer"),
+    ".smb": ("ENTRY_WIRE_SIZE", "FIND_BATCH", "DirEntryInfo",
+             "FindFirstRequest", "FindNextRequest", "FindReply", "ReadReply",
+             "ReadRequest"),
+    ".sniffer": ("CapturedPacket", "Sniffer", "render_timeline"),
+    ".tcp": ("DELAYED_ACK_TIMEOUT", "MAX_SEGMENT", "Packet", "TcpConnection",
+             "TcpEndpoint"),
+})

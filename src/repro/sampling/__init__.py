@@ -15,7 +15,11 @@ ground truth under identical simulated workloads.
   a running :class:`~repro.sim.scheduler.Kernel`.
 """
 
-from .stateprofile import StateProfile
-from .sampler import WaitStateSampler, canonical_wait_site
+from .._lazy import lazy_exports
 
 __all__ = ["StateProfile", "WaitStateSampler", "canonical_wait_site"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".stateprofile": ("StateProfile",),
+    ".sampler": ("WaitStateSampler", "canonical_wait_site"),
+})

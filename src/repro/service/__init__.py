@@ -20,11 +20,7 @@ long-running network service:
   ``osprof push`` / ``osprof watch`` CLI subcommands.
 """
 
-from .alerts import Alert, DifferentialAlerter
-from .client import ServiceClient, parse_endpoint
-from .protocol import FrameType, ProtocolError, recv_frame, send_frame
-from .server import ProfileService, ServiceConfig
-from .store import Segment, SegmentStore
+from .._lazy import lazy_exports
 
 __all__ = [
     "Alert",
@@ -40,3 +36,11 @@ __all__ = [
     "recv_frame",
     "send_frame",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".alerts": ("Alert", "DifferentialAlerter"),
+    ".client": ("ServiceClient", "parse_endpoint"),
+    ".protocol": ("FrameType", "ProtocolError", "recv_frame", "send_frame"),
+    ".server": ("ProfileService", "ServiceConfig"),
+    ".store": ("Segment", "SegmentStore"),
+})

@@ -8,17 +8,7 @@ semaphores/spinlocks/RW locks, timer interrupts, periodic daemons, and
 a syscall layer carrying OSprof instrumentation.
 """
 
-from .clock import POWERUP_SKEW_SECONDS, SOFTWARE_SYNC_SECONDS, TscBank
-from .engine import CYCLES_PER_SECOND, Engine, Event, cycles_to_seconds, seconds
-from .interrupts import (DEFAULT_TIMER_COST, DEFAULT_TIMER_PERIOD,
-                         PeriodicDaemon, TimerInterrupt)
-from .process import (Condition, CpuBurst, Process, ProcessState, Sleep,
-                      Spawn, WaitCondition, YieldCpu)
-from .rng import SimRandom
-from .scheduler import (DEFAULT_CONTEXT_SWITCH, DEFAULT_QUANTUM, Cpu, Kernel)
-from .sync import (DEFAULT_SEM_COST, DEFAULT_SPIN_POLL, RWLock, Semaphore,
-                   SpinLock)
-from .syscalls import DEFAULT_SYSCALL_COST, PROFILER_HOOK_COST, SyscallLayer
+from .._lazy import lazy_exports
 
 __all__ = [
     "POWERUP_SKEW_SECONDS", "SOFTWARE_SYNC_SECONDS", "TscBank",
@@ -33,3 +23,20 @@ __all__ = [
     "SpinLock",
     "DEFAULT_SYSCALL_COST", "PROFILER_HOOK_COST", "SyscallLayer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".clock": ("POWERUP_SKEW_SECONDS", "SOFTWARE_SYNC_SECONDS", "TscBank"),
+    ".engine": ("CYCLES_PER_SECOND", "Engine", "Event", "cycles_to_seconds",
+                "seconds"),
+    ".interrupts": ("DEFAULT_TIMER_COST", "DEFAULT_TIMER_PERIOD",
+                    "PeriodicDaemon", "TimerInterrupt"),
+    ".process": ("Condition", "CpuBurst", "Process", "ProcessState", "Sleep",
+                 "Spawn", "WaitCondition", "YieldCpu"),
+    ".rng": ("SimRandom",),
+    ".scheduler": ("DEFAULT_CONTEXT_SWITCH", "DEFAULT_QUANTUM", "Cpu",
+                   "Kernel"),
+    ".sync": ("DEFAULT_SEM_COST", "DEFAULT_SPIN_POLL", "RWLock", "Semaphore",
+              "SpinLock"),
+    ".syscalls": ("DEFAULT_SYSCALL_COST", "PROFILER_HOOK_COST",
+                  "SyscallLayer"),
+})

@@ -1,15 +1,6 @@
 """VFS substrate: inodes, page cache, files, dispatch, instrumentation."""
 
-from .file import File, O_DIRECT, SEEK_CUR, SEEK_END, SEEK_SET
-from .fosgen import (OPERATION_VECTOR, discover_operations,
-                     instrument_filesystem, uninstrument_filesystem)
-from .inode import (ENTRIES_PER_PAGE, DirEntry, Inode, InodeTable, S_IFDIR,
-                    S_IFREG)
-from .instrument import FsInstrument
-from .llseek import (LLSEEK_BODY_COST, generic_file_llseek,
-                     generic_file_llseek_patched)
-from .pagecache import Page, PageCache
-from .vfs import FileSystem, VFS_DISPATCH_COST, Vfs
+from .._lazy import lazy_exports
 
 __all__ = [
     "File", "O_DIRECT", "SEEK_CUR", "SEEK_END", "SEEK_SET",
@@ -22,3 +13,16 @@ __all__ = [
     "Page", "PageCache",
     "FileSystem", "VFS_DISPATCH_COST", "Vfs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".file": ("File", "O_DIRECT", "SEEK_CUR", "SEEK_END", "SEEK_SET"),
+    ".fosgen": ("OPERATION_VECTOR", "discover_operations",
+                "instrument_filesystem", "uninstrument_filesystem"),
+    ".inode": ("ENTRIES_PER_PAGE", "DirEntry", "Inode", "InodeTable",
+               "S_IFDIR", "S_IFREG"),
+    ".instrument": ("FsInstrument",),
+    ".llseek": ("LLSEEK_BODY_COST", "generic_file_llseek",
+                "generic_file_llseek_patched"),
+    ".pagecache": ("Page", "PageCache"),
+    ".vfs": ("FileSystem", "VFS_DISPATCH_COST", "Vfs"),
+})

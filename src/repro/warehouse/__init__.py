@@ -31,15 +31,7 @@ Exposed on the CLI as ``osprof db {ingest,query,sql,compact,gc,scrub,
 baseline,gate}`` and wired into ``osprof serve --db``.
 """
 
-from .columnar import ColumnarSegment, merged_profile_set
-from .gate import (EXIT_BREACH, Breach, GateReport, Threshold,
-                   evaluate_gate, parse_threshold)
-from .index import SegmentMeta, WarehouseIndex
-from .log import LogError, SegmentLog
-from .sql import (QueryError, QueryResult, SelectStatement, execute_sql,
-                  parse_sql)
-from .tiers import CompactionPolicy, plan_compactions, plan_gc
-from .warehouse import ScrubReport, Warehouse, WarehouseError
+from .._lazy import lazy_exports
 
 __all__ = [
     "Breach",
@@ -66,3 +58,15 @@ __all__ = [
     "plan_compactions",
     "plan_gc",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".columnar": ("ColumnarSegment", "merged_profile_set"),
+    ".gate": ("EXIT_BREACH", "Breach", "GateReport", "Threshold",
+              "evaluate_gate", "parse_threshold"),
+    ".index": ("SegmentMeta", "WarehouseIndex"),
+    ".log": ("LogError", "SegmentLog"),
+    ".sql": ("QueryError", "QueryResult", "SelectStatement", "execute_sql",
+             "parse_sql"),
+    ".tiers": ("CompactionPolicy", "plan_compactions", "plan_gc"),
+    ".warehouse": ("ScrubReport", "Warehouse", "WarehouseError"),
+})

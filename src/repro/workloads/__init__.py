@@ -1,19 +1,6 @@
 """Workload generators: grep, random-read, Postmark, micro-benchmarks."""
 
-from .compile import (CompileConfig, CompileResult, compile_body,
-                      run_compile)
-from .grep import GrepResult, grep_body, run_grep, run_parallel_grep
-from .microbench import (CLONE_BODY_COST, CLONE_LOCKED_COST, CloneStress,
-                         run_zero_byte_reads, zero_byte_read_body)
-from .postmark import PostmarkConfig, PostmarkReport, run_postmark
-from .randomread import (RandomReadConfig, random_read_body,
-                         run_random_read)
-from .runner import (PROFILE_LAYERS, WORKLOAD_NAMES, collect_profiles,
-                     run_named_workload)
-from .sourcetree import TreeStats, build_source_tree
-from .trace import Trace, TraceRecord, TraceRecorder, replay_trace
-from .webserver import (WebServerConfig, WebServerResult,
-                        build_document_set, run_webserver)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CompileConfig", "CompileResult", "compile_body", "run_compile",
@@ -29,3 +16,19 @@ __all__ = [
     "WebServerConfig", "WebServerResult", "build_document_set",
     "run_webserver",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".compile": ("CompileConfig", "CompileResult", "compile_body",
+                 "run_compile"),
+    ".grep": ("GrepResult", "grep_body", "run_grep", "run_parallel_grep"),
+    ".microbench": ("CLONE_BODY_COST", "CLONE_LOCKED_COST", "CloneStress",
+                    "run_zero_byte_reads", "zero_byte_read_body"),
+    ".postmark": ("PostmarkConfig", "PostmarkReport", "run_postmark"),
+    ".randomread": ("RandomReadConfig", "random_read_body", "run_random_read"),
+    ".runner": ("PROFILE_LAYERS", "WORKLOAD_NAMES", "collect_profiles",
+                "run_named_workload"),
+    ".sourcetree": ("TreeStats", "build_source_tree"),
+    ".trace": ("Trace", "TraceRecord", "TraceRecorder", "replay_trace"),
+    ".webserver": ("WebServerConfig", "WebServerResult", "build_document_set",
+                   "run_webserver"),
+})

@@ -9,11 +9,12 @@ bucket-for-bucket.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
-from ..core.profileset import ProfileSet
-from ..sampling.stateprofile import StateProfile
-from ..system import System
+if TYPE_CHECKING:
+    from ..core.profileset import ProfileSet
+    from ..sampling.stateprofile import StateProfile
+    from ..system import System
 
 __all__ = ["WORKLOAD_NAMES", "PROFILE_LAYERS", "run_named_workload",
            "collect_profiles", "collect_layer_profiles",
