@@ -72,32 +72,89 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
-import signal
 import sys
-import threading
-from typing import TYPE_CHECKING, List, Optional
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
+                    Tuple)
 
-# Only what building the parser needs; each subcommand imports the rest
-# where it runs, so `osprof serve` never loads the simulated machine.
-from .analysis.compare import METRICS
-from .workloads.runner import WORKLOAD_NAMES as WORKLOADS
-
+# Module level keeps only what every start needs.  Each subcommand's
+# builder imports what its arguments need and each handler what it runs,
+# so a start pays only for the subcommand it runs.
 if TYPE_CHECKING:
+    import threading
+
     from .core.profileset import ProfileSet
 
 __all__ = ["main", "build_parser"]
 
+_Builder = Callable[[argparse.ArgumentParser], None]
+
+#: One subcommand: its name, its help line, the builder that adds its
+#: arguments, and the handler that runs it (``None`` for a group whose
+#: own subcommands carry the handlers).
+_Command = Tuple[str, str, _Builder,
+                 Optional[Callable[[argparse.Namespace], int]]]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that adds its arguments on first use.
+
+    ``build(parser)`` runs once, the first time the parser parses or
+    formats its usage or help.  Its name and help line are registered
+    with its parent up front, so ``osprof --help`` and the
+    invalid-choice errors still list every subcommand.
+    """
+
+    def __init__(self, *args, build: Optional[_Builder] = None,
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def _ensure_built(self) -> None:
+        build, self._build = self._build, None
+        if build is not None:
+            build(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._ensure_built()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._ensure_built()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._ensure_built()
+        return super().format_help()
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str,
+                  commands: Sequence[_Command]) -> None:
+    """Register *commands* under *parser*; each builds on first use."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help, build, handler in commands:
+        sub.add_parser(name, help=help, build=build).set_defaults(
+            handler=handler)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="osprof",
         description="OSprof: latency profiling of a simulated OS")
-    sub = parser.add_subparsers(dest="command", required=True)
+    _add_commands(parser, "command", _COMMANDS)
+    return parser
 
-    run = sub.add_parser("run", help="run a workload and dump profiles")
-    run.add_argument("workload", choices=WORKLOADS, nargs="?",
+
+def _port_number(text: str) -> int:
+    """A ``--port`` value: 0 (pick a free port) through 65535."""
+    if not (text.isdecimal() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a port number (0-65535)")
+    return int(text)
+
+
+def _build_run(run: argparse.ArgumentParser) -> None:
+    from .workloads.runner import WORKLOAD_NAMES
+    run.add_argument("workload", choices=WORKLOAD_NAMES, nargs="?",
                      default=None,
                      help="workload to drive (optional when --scenario "
                           "supplies one)")
@@ -154,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: <output>.osps, or samples.osps "
                           "when dumping to stdout)")
 
-    merge = sub.add_parser("merge",
-                           help="merge several profile dumps into one")
+
+def _build_merge(merge: argparse.ArgumentParser) -> None:
     merge.add_argument("dumps", nargs="+",
                        help="profile dumps (text or binary, auto-detected)")
     merge.add_argument("--format", choices=("text", "binary"),
@@ -163,19 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("-o", "--output", default="-",
                        help="output file ('-' = stdout)")
 
-    render = sub.add_parser("render", help="ASCII figures from a dump")
+
+def _build_render(render: argparse.ArgumentParser) -> None:
     render.add_argument("dump")
     render.add_argument("--op", action="append", default=None,
                         help="operation(s) to render (default: all)")
     render.add_argument("--top", type=int, default=None,
                         help="only the N highest-latency operations")
 
-    peaks = sub.add_parser("peaks", help="peak detection + attribution")
+
+def _build_peaks(peaks: argparse.ArgumentParser) -> None:
     peaks.add_argument("dump")
     peaks.add_argument("--min-ops", type=int, default=5)
 
-    compare = sub.add_parser("compare",
-                             help="automated profile-pair selection")
+
+def _build_compare(compare: argparse.ArgumentParser) -> None:
+    from .analysis.compare import METRICS
     compare.add_argument("dump_a")
     compare.add_argument("dump_b")
     compare.add_argument("--metric", choices=sorted(METRICS),
@@ -189,11 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="operations sparser than this on both "
                               "sides are skipped by --threshold")
 
-    gnuplot = sub.add_parser("gnuplot", help="Gnuplot data blocks")
+
+def _build_gnuplot(gnuplot: argparse.ArgumentParser) -> None:
     gnuplot.add_argument("dump")
 
-    sampled = sub.add_parser("sampled",
-                             help="3-D sampled profiling of a workload")
+
+def _build_sampled(sampled: argparse.ArgumentParser) -> None:
     sampled.add_argument("workload", choices=("grep", "compile"))
     sampled.add_argument("--fs", choices=("ext2", "reiserfs", "ntfs"),
                          default="reiserfs")
@@ -208,10 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     sampled.add_argument("--splot", action="store_true",
                          help="emit gnuplot splot data instead of ASCII")
 
-    serve = sub.add_parser(
-        "serve", help="run the continuous profiling service")
+
+def _build_serve(serve: argparse.ArgumentParser) -> None:
+    from .analysis.compare import METRICS
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7461,
+    serve.add_argument("--port", type=_port_number, default=7461,
                        help="TCP port (0 = pick a free one)")
     serve.add_argument("--segment-seconds", type=float, default=10.0,
                        help="rolling store segment length")
@@ -247,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed segments accumulated before one "
                             "batched warehouse commit (single fsync)")
 
-    relay = sub.add_parser(
-        "relay", help="run a leaf of the fleet aggregation tree")
+
+def _build_relay(relay: argparse.ArgumentParser) -> None:
     relay.add_argument("--upstream", required=True, metavar="HOST:PORT",
                        help="parent to forward merged batches to "
                             "(a root service or another relay)")
     relay.add_argument("--host", default="127.0.0.1")
-    relay.add_argument("--port", type=int, default=7462,
+    relay.add_argument("--port", type=_port_number, default=7462,
                        help="TCP port to accept pushes on (0 = free)")
     relay.add_argument("--dir", default=None, metavar="DIR",
                        help="durable relay state + spool directory "
@@ -276,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds to wait for in-flight connections "
                             "on shutdown")
 
-    push = sub.add_parser(
-        "push", help="stream profiles to a running service")
+
+def _build_push(push: argparse.ArgumentParser) -> None:
+    from .workloads.runner import WORKLOAD_NAMES
     push.add_argument("endpoint", help="service address, host:port")
     push.add_argument("dumps", nargs="*",
                       help="saved profile dumps to push "
                            "(text or binary, auto-detected)")
-    push.add_argument("--workload", choices=WORKLOADS, default=None,
+    push.add_argument("--workload", choices=WORKLOAD_NAMES, default=None,
                       help="collect live segments instead of "
                            "pushing saved dumps")
     push.add_argument("--segments", type=int, default=1,
@@ -311,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "(.osps from 'osprof run --sample-interval'); "
                            "repeatable")
 
-    trace = sub.add_parser(
-        "trace", help="cross-layer request traces of a workload")
-    trace.add_argument("workload", choices=WORKLOADS, nargs="?",
+
+def _build_trace(trace: argparse.ArgumentParser) -> None:
+    from .workloads.runner import WORKLOAD_NAMES
+    trace.add_argument("workload", choices=WORKLOAD_NAMES, nargs="?",
                        default=None,
                        help="workload to trace (optional when "
                             "--scenario supplies one)")
@@ -332,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--limit", type=int, default=200_000,
                        help="cap on retained trace events")
 
-    top = sub.add_parser(
-        "top", help="live sampled wait-state view of a running service")
+
+def _build_top(top: argparse.ArgumentParser) -> None:
     top.add_argument("endpoint", help="service address, host:port")
     top.add_argument("--lines", type=int, default=10,
                      help="hottest (state, wait_site) rows per frame")
@@ -342,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--once", action="store_true",
                      help="print one frame and exit (no screen clear)")
 
-    watch = sub.add_parser(
-        "watch", help="follow a service's alert log")
+
+def _build_watch(watch: argparse.ArgumentParser) -> None:
     watch.add_argument("endpoint", help="service address, host:port")
     watch.add_argument("--poll", type=float, default=2.0,
                        help="seconds between polls")
@@ -354,27 +418,34 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--reconnect-cap", type=float, default=5.0,
                        help="cap on the reconnect backoff in seconds")
 
-    db = sub.add_parser("db", help="durable profile warehouse")
-    dbsub = db.add_subparsers(dest="db_command", required=True)
 
-    def _db_dir(p):
-        p.add_argument("--db", required=True, metavar="DIR",
-                       help="warehouse directory")
-        p.add_argument("--mirror", default=None, metavar="DIR",
-                       help="mirror tree double-committed with every "
-                            "segment (the redundancy 'scrub --repair' "
-                            "restores from)")
+def _build_db(db: argparse.ArgumentParser) -> None:
+    _add_commands(db, "db_command", _DB_COMMANDS)
 
-    def _db_policy(p):
-        p.add_argument("--fanout", type=int, default=4,
-                       help="epoch-width ratio between adjacent tiers")
-        p.add_argument("--keep", default="8,8,8",
-                       help="comma-separated per-tier retention "
-                            "(windows kept hot before aging)")
 
-    ingest = dbsub.add_parser(
-        "ingest", help="persist profile dumps as warehouse segments")
-    _db_dir(ingest)
+def _build_db_baseline(baseline: argparse.ArgumentParser) -> None:
+    _add_commands(baseline, "baseline_command", _BASELINE_COMMANDS)
+
+
+def _add_db_dir(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--db", required=True, metavar="DIR",
+                   help="warehouse directory")
+    p.add_argument("--mirror", default=None, metavar="DIR",
+                   help="mirror tree double-committed with every "
+                        "segment (the redundancy 'scrub --repair' "
+                        "restores from)")
+
+
+def _add_db_policy(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fanout", type=int, default=4,
+                   help="epoch-width ratio between adjacent tiers")
+    p.add_argument("--keep", default="8,8,8",
+                   help="comma-separated per-tier retention "
+                        "(windows kept hot before aging)")
+
+
+def _build_db_ingest(ingest: argparse.ArgumentParser) -> None:
+    _add_db_dir(ingest)
     ingest.add_argument("dumps", nargs="+",
                         help="profile dumps (text or binary)")
     ingest.add_argument("--source", required=True,
@@ -384,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "get consecutive epochs); default appends "
                              "after everything stored")
 
-    query = dbsub.add_parser(
-        "query", help="merge a source's stored history over a range")
-    _db_dir(query)
+
+def _build_db_query(query: argparse.ArgumentParser) -> None:
+    _add_db_dir(query)
     query.add_argument("--source", required=True)
     query.add_argument("--layer", default=None,
                        help="restrict to one capture layer")
@@ -400,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
     query.add_argument("-o", "--output", default="-")
 
-    dbsql = dbsub.add_parser(
-        "sql", help="run an analytics query over the stored history")
+
+def _build_db_sql(dbsql: argparse.ArgumentParser) -> None:
     dbsql.add_argument("query",
                        help="the SELECT statement (quote it; see "
                             "docs/QUERY.md)")
@@ -414,33 +485,30 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table",
                        help="output format (default: table)")
 
-    compact = dbsub.add_parser(
-        "compact", help="merge aged segments into coarser tiers")
-    _db_dir(compact)
-    _db_policy(compact)
+
+def _build_db_compact(compact: argparse.ArgumentParser) -> None:
+    _add_db_dir(compact)
+    _add_db_policy(compact)
     compact.add_argument("--source", default=None,
                          help="one source (default: all)")
 
-    gc = dbsub.add_parser(
-        "gc", help="apply top-tier retention and sweep dead files")
-    _db_dir(gc)
-    _db_policy(gc)
+
+def _build_db_gc(gc: argparse.ArgumentParser) -> None:
+    _add_db_dir(gc)
+    _add_db_policy(gc)
     gc.add_argument("--source", default=None,
                     help="one source (default: all)")
 
-    scrub = dbsub.add_parser(
-        "scrub", help="re-verify every committed byte in place "
-                      "(exit 3 on unrepaired damage)")
-    _db_dir(scrub)
+
+def _build_db_scrub(scrub: argparse.ArgumentParser) -> None:
+    _add_db_dir(scrub)
     scrub.add_argument("--repair", action="store_true",
                        help="restore quarantined segments from the "
                             "--mirror tree (byte-identity re-checked)")
 
-    baseline = dbsub.add_parser(
-        "baseline", help="manage named reference profiles")
-    blsub = baseline.add_subparsers(dest="baseline_command", required=True)
-    bl_save = blsub.add_parser("save", help="store a named baseline")
-    _db_dir(bl_save)
+
+def _build_db_baseline_save(bl_save: argparse.ArgumentParser) -> None:
+    _add_db_dir(bl_save)
     bl_save.add_argument("name")
     bl_save.add_argument("--from", dest="from_file", default=None,
                          metavar="DUMP",
@@ -451,16 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     bl_save.add_argument("--op", default=None)
     bl_save.add_argument("--since", type=int, default=None)
     bl_save.add_argument("--until", type=int, default=None)
-    bl_list = blsub.add_parser("list", help="list stored baselines")
-    _db_dir(bl_list)
-    bl_rm = blsub.add_parser("rm", help="remove a stored baseline")
-    _db_dir(bl_rm)
+
+
+def _build_db_baseline_rm(bl_rm: argparse.ArgumentParser) -> None:
+    _add_db_dir(bl_rm)
     bl_rm.add_argument("name")
 
-    gate = dbsub.add_parser(
-        "gate", help="score a capture against a stored baseline "
-                     "(exit 3 on threshold breach)")
-    _db_dir(gate)
+
+def _build_db_gate(gate: argparse.ArgumentParser) -> None:
+    _add_db_dir(gate)
     gate.add_argument("capture", help="fresh profile dump to judge")
     gate.add_argument("--baseline", required=True,
                       help="stored baseline name")
@@ -471,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--min-ops", type=int, default=1,
                       help="operations sparser than this on both sides "
                            "are skipped")
-    return parser
 
 
 def _load(path: str) -> ProfileSet:
@@ -725,6 +791,8 @@ def _stop_signals():
     arrives while the server stops is absorbed: the drain has its own
     deadline.  The previous handlers come back on exit.
     """
+    import signal
+    import threading
     stop = threading.Event()
 
     def request_stop(signum, frame):
@@ -1110,48 +1178,45 @@ def _open_warehouse(args):
                      mirror_dir=getattr(args, "mirror", None))
 
 
-def cmd_db(args) -> int:
-    """Dispatch for the warehouse subcommands (``osprof db ...``)."""
-    if args.db_command == "sql":
-        return cmd_db_sql(args)
+def cmd_db_ingest(args) -> int:
     warehouse = _open_warehouse(args)
-    if args.db_command == "ingest":
-        epoch = args.epoch
-        for path in args.dumps:
-            meta = warehouse.ingest(args.source, _load(path), epoch=epoch)
-            print(f"{path}: segment {meta.seg_id} source={meta.source} "
-                  f"epoch={meta.epoch} ({meta.nbytes} bytes)",
-                  file=sys.stderr)
-            if epoch is not None:
-                epoch += 1
-        return 0
-    if args.db_command == "query":
-        pset = warehouse.query(args.source, layer=args.layer, op=args.op,
-                               t0=args.since, t1=args.until)
-        _write_pset(pset, args.output, args.format)
-        return 0
-    if args.db_command == "compact":
-        created = warehouse.compact(source=args.source)
-        for meta in created:
-            print(f"compacted -> segment {meta.seg_id} tier={meta.tier} "
-                  f"epochs {meta.epoch}..{meta.epoch_end} "
-                  f"source={meta.source}", file=sys.stderr)
-        print(f"{len(created)} compaction(s)", file=sys.stderr)
-        return 0
-    if args.db_command == "gc":
-        evicted = warehouse.gc(source=args.source)
-        print(f"evicted {evicted} segment(s) past retention"
-              + (f", removed {warehouse.orphans_removed} orphan file(s)"
-                 if warehouse.orphans_removed else ""),
+    epoch = args.epoch
+    for path in args.dumps:
+        meta = warehouse.ingest(args.source, _load(path), epoch=epoch)
+        print(f"{path}: segment {meta.seg_id} source={meta.source} "
+              f"epoch={meta.epoch} ({meta.nbytes} bytes)",
               file=sys.stderr)
-        return 0
-    if args.db_command == "scrub":
-        return cmd_db_scrub(args, warehouse)
-    if args.db_command == "baseline":
-        return cmd_db_baseline(args, warehouse)
-    if args.db_command == "gate":
-        return cmd_db_gate(args, warehouse)
-    raise ValueError(f"unknown db command {args.db_command!r}")
+        if epoch is not None:
+            epoch += 1
+    return 0
+
+
+def cmd_db_query(args) -> int:
+    pset = _open_warehouse(args).query(
+        args.source, layer=args.layer, op=args.op, t0=args.since,
+        t1=args.until)
+    _write_pset(pset, args.output, args.format)
+    return 0
+
+
+def cmd_db_compact(args) -> int:
+    created = _open_warehouse(args).compact(source=args.source)
+    for meta in created:
+        print(f"compacted -> segment {meta.seg_id} tier={meta.tier} "
+              f"epochs {meta.epoch}..{meta.epoch_end} "
+              f"source={meta.source}", file=sys.stderr)
+    print(f"{len(created)} compaction(s)", file=sys.stderr)
+    return 0
+
+
+def cmd_db_gc(args) -> int:
+    warehouse = _open_warehouse(args)
+    evicted = warehouse.gc(source=args.source)
+    print(f"evicted {evicted} segment(s) past retention"
+          + (f", removed {warehouse.orphans_removed} orphan file(s)"
+             if warehouse.orphans_removed else ""),
+          file=sys.stderr)
+    return 0
 
 
 def cmd_db_sql(args) -> int:
@@ -1178,12 +1243,14 @@ def cmd_db_sql(args) -> int:
 
 def _write_sql_result(columns, rows, fmt: str) -> None:
     if fmt == "json":
+        import json
         json.dump({"columns": list(columns),
                    "rows": [list(r) for r in rows]},
                   sys.stdout, indent=2)
         sys.stdout.write("\n")
         return
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(columns)
         for row in rows:
@@ -1202,13 +1269,14 @@ def _write_sql_result(columns, rows, fmt: str) -> None:
           file=sys.stderr)
 
 
-def cmd_db_scrub(args, warehouse) -> int:
+def cmd_db_scrub(args) -> int:
     """``osprof db scrub``: verify committed bytes, optionally repair.
 
     Exit 0 when everything verified (or every damaged segment was
     restored byte-identically from the mirror), exit 3 when unrepaired
     damage remains — same contract as ``osprof db gate``.
     """
+    warehouse = _open_warehouse(args)
     if args.repair and warehouse.mirror is None:
         print("osprof db scrub: --repair needs --mirror (nothing to "
               "restore from)", file=sys.stderr)
@@ -1223,38 +1291,41 @@ def cmd_db_scrub(args, warehouse) -> int:
     return 0 if report.clean else 3
 
 
-def cmd_db_baseline(args, warehouse) -> int:
-    if args.baseline_command == "save":
-        if (args.from_file is None) == (args.source is None):
-            print("osprof db baseline save: give exactly one of --from "
-                  "or --source", file=sys.stderr)
-            return 2
-        if args.from_file is not None:
-            pset = _load(args.from_file)
-        else:
-            pset = warehouse.query(args.source, layer=args.layer,
-                                   op=args.op, t0=args.since,
-                                   t1=args.until)
-        warehouse.save_baseline(args.name, pset)
-        print(f"baseline {args.name!r}: {len(pset)} operation profiles "
-              f"({pset.total_ops()} requests)", file=sys.stderr)
-        return 0
-    if args.baseline_command == "list":
-        for name in warehouse.baselines():
-            print(name)
-        return 0
-    if args.baseline_command == "rm":
-        if not warehouse.remove_baseline(args.name):
-            print(f"no baseline named {args.name!r}", file=sys.stderr)
-            return 1
-        return 0
-    raise ValueError(f"unknown baseline command {args.baseline_command!r}")
+def cmd_db_baseline_save(args) -> int:
+    warehouse = _open_warehouse(args)
+    if (args.from_file is None) == (args.source is None):
+        print("osprof db baseline save: give exactly one of --from "
+              "or --source", file=sys.stderr)
+        return 2
+    if args.from_file is not None:
+        pset = _load(args.from_file)
+    else:
+        pset = warehouse.query(args.source, layer=args.layer,
+                               op=args.op, t0=args.since,
+                               t1=args.until)
+    warehouse.save_baseline(args.name, pset)
+    print(f"baseline {args.name!r}: {len(pset)} operation profiles "
+          f"({pset.total_ops()} requests)", file=sys.stderr)
+    return 0
 
 
-def cmd_db_gate(args, warehouse) -> int:
+def cmd_db_baseline_list(args) -> int:
+    for name in _open_warehouse(args).baselines():
+        print(name)
+    return 0
+
+
+def cmd_db_baseline_rm(args) -> int:
+    if not _open_warehouse(args).remove_baseline(args.name):
+        print(f"no baseline named {args.name!r}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_db_gate(args) -> int:
     from .warehouse.gate import (DEFAULT_GATE_THRESHOLDS, evaluate_gate,
                                  parse_threshold)
-    baseline = warehouse.load_baseline(args.baseline)
+    baseline = _open_warehouse(args).load_baseline(args.baseline)
     capture = _load(args.capture)
     thresholds = ([parse_threshold(text) for text in args.threshold]
                   if args.threshold else DEFAULT_GATE_THRESHOLDS)
@@ -1264,27 +1335,65 @@ def cmd_db_gate(args, warehouse) -> int:
     return report.exit_code()
 
 
+_BASELINE_COMMANDS: List[_Command] = [
+    ("save", "store a named baseline",
+     _build_db_baseline_save, cmd_db_baseline_save),
+    ("list", "list stored baselines", _add_db_dir, cmd_db_baseline_list),
+    ("rm", "remove a stored baseline",
+     _build_db_baseline_rm, cmd_db_baseline_rm),
+]
+
+_DB_COMMANDS: List[_Command] = [
+    ("ingest", "persist profile dumps as warehouse segments",
+     _build_db_ingest, cmd_db_ingest),
+    ("query", "merge a source's stored history over a range",
+     _build_db_query, cmd_db_query),
+    ("sql", "run an analytics query over the stored history",
+     _build_db_sql, cmd_db_sql),
+    ("compact", "merge aged segments into coarser tiers",
+     _build_db_compact, cmd_db_compact),
+    ("gc", "apply top-tier retention and sweep dead files",
+     _build_db_gc, cmd_db_gc),
+    ("scrub", "re-verify every committed byte in place "
+              "(exit 3 on unrepaired damage)",
+     _build_db_scrub, cmd_db_scrub),
+    ("baseline", "manage named reference profiles",
+     _build_db_baseline, None),
+    ("gate", "score a capture against a stored baseline "
+             "(exit 3 on threshold breach)",
+     _build_db_gate, cmd_db_gate),
+]
+
+#: Every ``osprof`` subcommand, in ``osprof --help`` order.
+_COMMANDS: List[_Command] = [
+    ("run", "run a workload and dump profiles", _build_run, cmd_run),
+    ("merge", "merge several profile dumps into one",
+     _build_merge, cmd_merge),
+    ("render", "ASCII figures from a dump", _build_render, cmd_render),
+    ("peaks", "peak detection + attribution", _build_peaks, cmd_peaks),
+    ("compare", "automated profile-pair selection",
+     _build_compare, cmd_compare),
+    ("gnuplot", "Gnuplot data blocks", _build_gnuplot, cmd_gnuplot),
+    ("sampled", "3-D sampled profiling of a workload",
+     _build_sampled, cmd_sampled),
+    ("serve", "run the continuous profiling service",
+     _build_serve, cmd_serve),
+    ("relay", "run a leaf of the fleet aggregation tree",
+     _build_relay, cmd_relay),
+    ("push", "stream profiles to a running service", _build_push, cmd_push),
+    ("trace", "cross-layer request traces of a workload",
+     _build_trace, cmd_trace),
+    ("top", "live sampled wait-state view of a running service",
+     _build_top, cmd_top),
+    ("watch", "follow a service's alert log", _build_watch, cmd_watch),
+    ("db", "durable profile warehouse", _build_db, None),
+]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "run": cmd_run,
-        "merge": cmd_merge,
-        "render": cmd_render,
-        "peaks": cmd_peaks,
-        "compare": cmd_compare,
-        "gnuplot": cmd_gnuplot,
-        "sampled": cmd_sampled,
-        "serve": cmd_serve,
-        "relay": cmd_relay,
-        "push": cmd_push,
-        "top": cmd_top,
-        "watch": cmd_watch,
-        "trace": cmd_trace,
-        "db": cmd_db,
-    }[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except KeyboardInterrupt:
         return 130
     except (ValueError, OSError) as exc:

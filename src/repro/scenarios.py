@@ -21,11 +21,12 @@ Scenario membership is part of the public CLI surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional
 
-from .disk.model import DeviceModel, RAID0Model, SSDModel, ThrottledModel
-from .sim.engine import seconds
+# The device models load in the factories that build them, so printing
+# the registry (``osprof run --list-scenarios``) loads no simulator.
+if TYPE_CHECKING:
+    from .disk.model import DeviceModel
 
 __all__ = ["Scenario", "SCENARIOS", "UnknownScenarioError", "get_scenario",
            "build_device", "build_system", "render_scenarios"]
@@ -45,8 +46,7 @@ class UnknownScenarioError(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One row of the matrix: a device model plus its workload defaults.
 
     ``device_factory`` returns a *fresh* model per call (models carry
@@ -69,12 +69,15 @@ class Scenario:
 
 
 def _ssd() -> DeviceModel:
+    from .disk.model import SSDModel
     # A small-over-provisioning consumer drive: foreground GC every 16
     # programs, often enough that the slow mode is a real peak.
     return SSDModel(gc_period=16)
 
 
 def _ssd_worn() -> DeviceModel:
+    from .disk.model import SSDModel
+    from .sim.engine import seconds
     # A worn drive: sparse free pool, so GC runs 4x as often and each
     # collection relocates more data; programs slow as cells age.
     return SSDModel(gc_period=4, gc_pause=seconds(10e-3),
@@ -82,20 +85,24 @@ def _ssd_worn() -> DeviceModel:
 
 
 def _raid0() -> DeviceModel:
+    from .disk.model import RAID0Model
     return RAID0Model(num_children=2)
 
 
 def _raid0_degraded() -> DeviceModel:
+    from .disk.model import RAID0Model
     # The array collapsed to one member: same striped address space,
     # no parallelism left — every queue-split benefit gone.
     return RAID0Model(num_children=1)
 
 
 def _throttled() -> DeviceModel:
+    from .disk.model import SSDModel, ThrottledModel
     return ThrottledModel(SSDModel(), iops=60.0, burst=4)
 
 
 def _throttled_tight() -> DeviceModel:
+    from .disk.model import SSDModel, ThrottledModel
     # The cgroup limit cut to a third: the plateau shifts buckets
     # upward and swallows the device's native latency entirely.
     return ThrottledModel(SSDModel(), iops=20.0, burst=2)

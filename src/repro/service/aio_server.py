@@ -131,7 +131,9 @@ class AsyncProfileServer:
         try:
             self._server = await asyncio.start_server(
                 self._handle_connection, self._host, self._port)
-        except OSError as exc:
+        except Exception as exc:
+            # OSError for a taken port, OverflowError for one out of
+            # range: either way the caller raises it, not the loop.
             self._startup_error = exc
             self._started.set()
             return
@@ -151,8 +153,12 @@ class AsyncProfileServer:
             raise self._startup_error
 
     def serve_in_thread(self) -> threading.Thread:
-        """Start serving on a daemon thread; returns once bound."""
-        self._thread = threading.Thread(target=self.serve_forever,
+        """Start serving on a daemon thread; returns once bound.
+
+        A failure to bind raises here, and the thread ends quietly.
+        """
+        self._thread = threading.Thread(target=asyncio.run,
+                                        args=(self._main(),),
                                         name="osprof-aio-serve",
                                         daemon=True)
         self._thread.start()

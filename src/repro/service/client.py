@@ -86,11 +86,16 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
         raise ValueError(
             f"bad service endpoint {endpoint!r}; expected host:port")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ValueError(
             f"bad service endpoint {endpoint!r}: port {port!r} is not "
             f"an integer") from None
+    if not 1 <= number <= 65535:
+        raise ValueError(
+            f"bad service endpoint {endpoint!r}: port {number} is out of "
+            f"range 1-65535")
+    return host, number
 
 
 def is_retryable(exc: BaseException) -> bool:

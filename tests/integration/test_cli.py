@@ -322,6 +322,22 @@ class TestResilienceFlags:
         assert args.max_pending == 2
 
     @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+        ["relay", "--upstream", "127.0.0.1:1", "--port", "65536"],
+    ])
+    def test_out_of_range_port_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "is not a port number (0-65535)" in capsys.readouterr().err
+
+    def test_port_zero_and_65535_parse(self):
+        for port in ("0", "65535"):
+            args = build_parser().parse_args(["serve", "--port", port])
+            assert args.port == int(port)
+
+    @pytest.mark.parametrize("argv", [
         ["serve", "--port", "0", "--read-timeout", "0"],
         ["relay", "--upstream", "127.0.0.1:1", "--port", "0",
          "--read-timeout", "0"],

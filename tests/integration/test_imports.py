@@ -1,12 +1,13 @@
 """What each ``osprof`` path imports, checked in fresh interpreters.
 
-Package ``__init__`` exports are lazy (``repro._lazy.lazy_exports``) and
-each subcommand imports what it runs at the point of use.  The budget
-below is a count of loaded modules, not a timing: exact and free of
-host noise.  Every check runs in its own interpreter, because inside
-one pytest process the import order is fixed by whatever ran first,
-which hides both an eager import and a circular import that only fails
-when a package is the first one imported.
+Package ``__init__`` exports are lazy (``repro._lazy.lazy_exports``),
+each subcommand's arguments are added on first use, and each subcommand
+imports what it runs at the point of use.  The budget below is a count
+of loaded modules, not a timing: exact and free of host noise.  Every
+check runs in its own interpreter, because inside one pytest process
+the import order is fixed by whatever ran first, which hides both an
+eager import and a circular import that only fails when a package is
+the first one imported.
 """
 
 from __future__ import annotations
@@ -47,20 +48,49 @@ def test_every_package_is_covered():
     assert named <= set(PACKAGES)
 
 
+def modules_added_by(*argv: str):
+    """The modules ``main(argv)`` adds to a fresh interpreter.
+
+    The snapshot is taken after the harness's own imports and before
+    the script imports ``json`` to report, so neither counts.
+    """
+    return fresh("""
+        import contextlib, io, sys
+        before = set(sys.modules)
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(sys.argv[1:])
+            except SystemExit as exc:
+                code = exc.code
+        added = sorted(set(sys.modules) - before)
+        import json
+        print(json.dumps([code, added]))
+    """, *argv)
+
+
+def repro_modules(names):
+    return {name for name in names if name.split(".")[0] == "repro"}
+
+
 class TestImportBudget:
     def test_list_scenarios_loads_no_simulator_service_or_pool(self):
-        loaded = fresh("""
-            import contextlib, io, json, sys
-            from repro.cli import main
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["run", "--list-scenarios"]) == 0
-            print(json.dumps(sorted(sys.modules)))
-        """)
-        forbidden = {"repro.system", "repro.sim.scheduler", "repro.vfs",
-                     "repro.fs", "repro.core.shard", "repro.service",
-                     "repro.warehouse", "repro.analysis.select",
-                     "multiprocessing"}
-        assert forbidden.isdisjoint(loaded), forbidden & set(loaded)
+        code, added = modules_added_by("run", "--list-scenarios")
+        assert code == 0
+        allowed = {"repro", "repro._lazy", "repro.cli", "repro.scenarios",
+                   "repro.workloads", "repro.workloads.runner"}
+        assert repro_modules(added) <= allowed, \
+            repro_modules(added) - allowed
+        unused = {"dataclasses", "inspect", "csv", "json",
+                  "multiprocessing"}
+        assert unused.isdisjoint(added), unused & set(added)
+
+    def test_help_adds_only_the_cli(self):
+        code, added = modules_added_by("--help")
+        assert code == 0
+        allowed = {"repro", "repro._lazy", "repro.cli"}
+        assert repro_modules(added) <= allowed, \
+            repro_modules(added) - allowed
 
     def test_serve_loads_no_simulator(self):
         loaded = fresh("""

@@ -147,6 +147,19 @@ class TestWireParity:
 class TestHardening:
     """Oversize guard, read timeout, protocol desync — all preserved."""
 
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_unbindable_port_raises_at_once(self, port):
+        # bind() raises OverflowError, not OSError, for a port out of
+        # range: the caller must get it now, not a 10 s wait for a bind
+        # that never comes.
+        server = AsyncProfileServer(ProfileService(), port=port)
+        start = time.monotonic()
+        with pytest.raises(OverflowError):
+            server.serve_in_thread()
+        assert time.monotonic() - start < 5.0
+        server._thread.join(timeout=5.0)
+        assert not server._thread.is_alive()
+
     def test_oversize_frame_rejected_from_header(self, make):
         service, server = make(max_frame_bytes=1024)
         try:

@@ -301,6 +301,12 @@ class TestParseEndpoint:
         with pytest.raises(ValueError):
             parse_endpoint("host:http")
 
+    @pytest.mark.parametrize("port", ["0", "65536", "99999", "-1"])
+    def test_rejects_out_of_range_port(self, port):
+        # getaddrinfo would wrap 99999 to 34463 and dial the wrong port.
+        with pytest.raises(ValueError, match="bad service endpoint"):
+            parse_endpoint(f"127.0.0.1:{port}")
+
 
 class TestWarehouseIntegration:
     """serve --db: closed segments flush durably, restarts seed history."""
