@@ -146,10 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _port_number(text: str) -> int:
     """A ``--port`` value: 0 (pick a free port) through 65535."""
-    if not (text.isdecimal() and int(text) <= 65535):
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a port number (0-65535)")
-    return int(text)
+    return port
 
 
 def _build_run(run: argparse.ArgumentParser) -> None:

@@ -35,10 +35,10 @@ partial frame of requests, and at most :data:`READ_CHUNK` bytes plus
 one reply of unwritten replies (a batch is written early once it
 reaches :data:`READ_CHUNK`) — there is no unbounded queue to fill.
 
-The server runs ``serve_forever()`` on the calling thread or
-``serve_in_thread()`` on a daemon thread (the CLI, tests, embedding);
-either way the public surface is ``address``, ``active_connections``,
-``drain(timeout)`` and ``server_close()``.
+The server runs its loop on a daemon thread started by
+``serve_in_thread()`` (the CLI, tests, embedding); the public surface
+is then ``address``, ``active_connections``, ``drain(timeout)`` and
+``server_close()``.
 """
 
 from __future__ import annotations
@@ -86,10 +86,9 @@ class AsyncProfileServer:
     """Asyncio front end over a :class:`ProfileService` (or relay).
 
     ``port=0`` picks a free port, published via :attr:`address` once
-    the listener is up.  The same instance works embedded (tests call
-    :meth:`serve_in_thread`) or foreground (the CLI calls
-    :meth:`serve_forever`); :meth:`drain` and :meth:`server_close` are
-    thread-safe either way.
+    the listener is up.  :meth:`serve_in_thread` runs the loop on a
+    daemon thread, for the CLI and embedders alike; :meth:`drain` and
+    :meth:`server_close` are thread-safe.
     """
 
     def __init__(self, service: Optional[ProfileService] = None,
@@ -145,12 +144,6 @@ class AsyncProfileServer:
         finally:
             self._server.close()
             await self._server.wait_closed()
-
-    def serve_forever(self) -> None:
-        """Run the event loop on the calling thread until closed."""
-        asyncio.run(self._main())
-        if self._startup_error is not None:
-            raise self._startup_error
 
     def serve_in_thread(self) -> threading.Thread:
         """Start serving on a daemon thread; returns once bound.

@@ -459,22 +459,14 @@ class RelayServer(AsyncProfileServer):
                 # relay's forward_errors.
                 continue
 
-    def _start_forwarder(self) -> None:
-        if self.flush_interval is None or self._forwarder is not None:
-            return
-        self._forwarder = threading.Thread(
-            target=self._forward_loop, name="osprof-relay-forward",
-            daemon=True)
-        self._forwarder.start()
-
     def serve_in_thread(self) -> threading.Thread:
         thread = super().serve_in_thread()
-        self._start_forwarder()
+        if self.flush_interval is not None and self._forwarder is None:
+            self._forwarder = threading.Thread(
+                target=self._forward_loop, name="osprof-relay-forward",
+                daemon=True)
+            self._forwarder.start()
         return thread
-
-    def serve_forever(self) -> None:
-        self._start_forwarder()
-        super().serve_forever()
 
     def signal_forward(self) -> None:
         """Wake the forwarder (a batch may be complete)."""

@@ -333,7 +333,8 @@ class TestResilienceFlags:
         assert "is not a port number (0-65535)" in capsys.readouterr().err
 
     def test_port_zero_and_65535_parse(self):
-        for port in ("0", "65535"):
+        # Whatever int() accepts and is in range still parses.
+        for port in ("0", "65535", "+80", " 80", "8_0"):
             args = build_parser().parse_args(["serve", "--port", port])
             assert args.port == int(port)
 
