@@ -14,11 +14,11 @@ distant tracks, so a recursive grep pays real seeks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..disk.geometry import BLOCK_SIZE, DiskGeometry
 from ..sim.rng import SimRandom
-from ..vfs.inode import Inode, InodeTable, S_IFDIR, S_IFREG
+from ..vfs.inode import BlockMap, Inode, InodeTable, S_IFDIR, S_IFREG
 
 __all__ = ["BlockAllocator", "TreeBuilder"]
 
@@ -37,24 +37,36 @@ class BlockAllocator:
         self._next = 0
         self.allocated = 0
 
-    def allocate(self, count: int = 1) -> List[int]:
-        """Allocate *count* (mostly) contiguous blocks."""
+    def allocate(self, count: int = 1) -> BlockMap:
+        """Allocate *count* (mostly) contiguous blocks.
+
+        Draws one ``rng.random()`` per block and one ``rng.randint(1,
+        64)`` per hole, in block order.  A call that runs off the disk
+        raises ``RuntimeError("disk full")`` and leaves ``_next`` and
+        ``allocated`` as they were; the draws it made stay consumed.
+        """
         if count < 1:
             raise ValueError("must allocate at least one block")
-        blocks = []
+        blocks = BlockMap()
         # The draw chance(fragmentation) makes, without re-checking the
         # range __init__ already validated.
         random = self.rng.random
         fragmentation = self.fragmentation
+        num_blocks = self.geometry.num_blocks
+        run = block = self._next
         for _ in range(count):
             if random() < fragmentation:
                 # Skip ahead: a hole left by deleted files.
-                self._next += self.rng.randint(1, 64)
-            if self._next >= self.geometry.num_blocks:
+                if block > run:
+                    blocks.append_run(run, block - run)
+                block += self.rng.randint(1, 64)
+                run = block
+            if block >= num_blocks:
                 raise RuntimeError("disk full")
-            blocks.append(self._next)
-            self._next += 1
-            self.allocated += 1
+            block += 1
+        blocks.append_run(run, block - run)
+        self._next = block
+        self.allocated += count
         return blocks
 
     def free_space(self) -> int:

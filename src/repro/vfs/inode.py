@@ -4,19 +4,22 @@ Each inode carries the ``i_sem`` semaphore that Linux 2.6 used to
 serialize operations on the object — the semaphore behind the paper's
 Section 6.1 llseek contention discovery.  Directory inodes hold their
 entries in page-sized chunks so ``readdir`` walks them the way Ext2
-walks directory blocks.
+walks directory blocks.  An inode's block map is a :class:`BlockMap`:
+runs of contiguous disk blocks, like Ext4 extents, so a large file
+costs memory per fragment rather than per block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..disk.geometry import BLOCK_SIZE
 from ..sim.scheduler import Kernel
 from ..sim.sync import Semaphore
 
-__all__ = ["Inode", "InodeTable", "DirEntry", "ENTRIES_PER_PAGE",
-           "S_IFREG", "S_IFDIR"]
+__all__ = ["BlockMap", "Inode", "InodeTable", "DirEntry",
+           "ENTRIES_PER_PAGE", "S_IFREG", "S_IFDIR"]
 
 S_IFREG = "file"
 S_IFDIR = "dir"
@@ -39,6 +42,66 @@ class DirEntry:
         return f"DirEntry({self.name!r}, ino={self.ino})"
 
 
+class BlockMap:
+    """The disk blocks backing an inode's pages, stored as runs.
+
+    Page ``p`` lives on one disk block; pages whose blocks are
+    consecutive share a run, kept as its first block and the page where
+    it starts in two parallel lists.  Lookup is a binary search over the
+    run starts.  Appending a run that continues the last one extends it,
+    so a map holds as many runs as its blocks have breaks, plus one.
+    """
+
+    __slots__ = ("_firsts", "_starts", "_size")
+
+    def __init__(self):
+        self._firsts: List[int] = []  # first disk block of each run
+        self._starts: List[int] = []  # page index where each run starts
+        self._size = 0                # pages mapped
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, page_index: int) -> int:
+        """The disk block of one page, ``0 <= page_index < len(self)``."""
+        if not 0 <= page_index < self._size:
+            raise IndexError(f"page {page_index} outside the block map "
+                             f"({self._size} pages)")
+        run = bisect_right(self._starts, page_index) - 1
+        return self._firsts[run] + page_index - self._starts[run]
+
+    def __iter__(self) -> Iterator[int]:
+        for first, count in self.runs():
+            yield from range(first, first + count)
+
+    def runs(self) -> List[Tuple[int, int]]:
+        """``(first block, length)`` of every run, in page order."""
+        ends = self._starts[1:]
+        ends.append(self._size)
+        return [(first, end - start) for first, start, end
+                in zip(self._firsts, self._starts, ends)]
+
+    def append_run(self, first: int, count: int) -> None:
+        """Map the next *count* pages to blocks ``first, first + 1, ...``."""
+        if count < 1:
+            raise ValueError("a run holds at least one block")
+        firsts = self._firsts
+        if firsts and firsts[-1] + self._size - self._starts[-1] == first:
+            self._size += count
+            return
+        firsts.append(first)
+        self._starts.append(self._size)
+        self._size += count
+
+    def extend(self, other: "BlockMap") -> None:
+        """Map the next pages to *other*'s blocks, in its page order."""
+        for first, count in other.runs():
+            self.append_run(first, count)
+
+    def __repr__(self) -> str:
+        return f"<BlockMap {self._size} pages in {len(self._firsts)} runs>"
+
+
 class Inode:
     """An in-memory inode: metadata, block map, and the i_sem semaphore."""
 
@@ -49,7 +112,7 @@ class Inode:
         self.ino = ino
         self.kind = kind
         self.size = 0  # bytes for files, entry count for directories
-        self.blocks: List[int] = []  # disk blocks, one per page
+        self.blocks = BlockMap()  # disk blocks, one per page
         self.entries: List[DirEntry] = []  # directories only
         self.i_sem = Semaphore(kernel, name=f"i_sem:{ino}")
         self.atime = 0.0
@@ -70,11 +133,12 @@ class Inode:
 
     def block_for(self, page_index: int) -> int:
         """The disk block backing one page of this inode."""
-        if not 0 <= page_index < len(self.blocks):
+        try:
+            return self.blocks[page_index]
+        except IndexError:
             raise ValueError(
                 f"inode {self.ino}: page {page_index} beyond mapped "
-                f"blocks ({len(self.blocks)})")
-        return self.blocks[page_index]
+                f"blocks ({len(self.blocks)})") from None
 
     def dir_page_entries(self, page_index: int) -> List[DirEntry]:
         """The directory entries stored in one page."""

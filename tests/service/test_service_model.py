@@ -3,10 +3,13 @@
 A hypothesis state machine drives one :class:`ProfileService` through
 the sans-IO :data:`FRAME_HANDLERS` (no sockets) on a :class:`FakeClock`,
 with a real :class:`Warehouse` in a temporary directory.  Its rules push
-latency profiles (``PUSH_SEQ``, replays of acked sequence numbers
-included) and wait-state profiles (``STATE_PUSH``), step the clock,
-tick, flush, run SQL, and restart the service on the same directory,
-either gracefully (:meth:`ProfileService.close`) or by crashing.
+latency profiles (unsequenced ``PUSH``, and ``PUSH_SEQ`` with replays
+of acked sequence numbers) and wait-state profiles (``STATE_PUSH``),
+step the clock, tick, flush, run SQL, compact the warehouse under the
+running service, and restart the service on the same directory, either
+gracefully (:meth:`ProfileService.close`) or by crashing.  The
+warehouse's compaction policy is small enough that compaction promotes
+segments within a few clock steps.
 
 The model is a plain record of the acked pushes, the segment each landed
 in, and the epoch it committed at.  After every step the service must
@@ -19,9 +22,15 @@ agree with it byte for byte:
   committed latency pushes, and ``query_states(t0, t1)`` is
   ``StateProfile.merged`` of the wait-state pushes whose segment
   committed at an epoch in ``[t0, t1]``; both kinds of one segment
-  share its epoch.
+  share its epoch.  Compaction merges latency segments exactly, so it
+  changes neither query.
+
+``OSPROF_FAULT_SEED``, when set, turns ``derandomize`` off so that a run
+with ``--hypothesis-seed`` explores other step sequences; without it the
+examples are fixed.
 """
 
+import os
 import shutil
 import tempfile
 
@@ -36,7 +45,7 @@ from repro.service.protocol import (FrameType, decode_json, encode_json,
                                     encode_push_seq, encode_state_push)
 from repro.service.server import (FRAME_HANDLERS, ProfileService,
                                   ServiceConfig)
-from repro.warehouse import Warehouse
+from repro.warehouse import CompactionPolicy, Warehouse
 
 from ..clock import FakeClock
 
@@ -75,6 +84,9 @@ STATES = [state_profile(0), state_profile(1), state_profile(2),
           state_profile(3, interval=250.0)]
 CONFIG = ServiceConfig(segment_seconds=SEGMENT_SECONDS,
                        retention=RETENTION, flush_batch=FLUSH_BATCH)
+#: One hot window per tier and two epochs per tier-1 window: a segment
+#: ages as soon as a newer epoch is stored.
+POLICY = CompactionPolicy(fanout=2, keep=(1, 1, 1))
 
 
 def handle(service, ftype, payload):
@@ -100,7 +112,8 @@ class ServiceModel(RuleBasedStateMachine):
         epochs = [epoch for epoch, _ in self.committed]
         self.base = max(epochs) + 1 if epochs else 0
         self.service = ProfileService(CONFIG, clock=self.clock,
-                                      warehouse=Warehouse(self.root),
+                                      warehouse=Warehouse(self.root,
+                                                          policy=POLICY),
                                       warehouse_source=SOURCE)
         assert self.service._epoch_base == self.base
         self.started = self.clock.now
@@ -153,6 +166,15 @@ class ServiceModel(RuleBasedStateMachine):
         self.segments[self.current].append(LATENCY[which])
         self.acked[(client, seq)] = payload
 
+    @rule(which=st.integers(0, len(LATENCY) - 1))
+    def push(self, which):
+        rtype, reply = handle(self.service, FrameType.PUSH,
+                              LATENCY[which].to_bytes())
+        assert rtype == FrameType.OK, reply
+        assert reply.startswith(b"merged")
+        self._rotate()
+        self.segments[self.current].append(LATENCY[which])
+
     @precondition(lambda self: self.acked)
     @rule(data=st.data())
     def replay(self, data):
@@ -196,6 +218,13 @@ class ServiceModel(RuleBasedStateMachine):
         ops = sum(profile.total_ops() for _, profile in self.committed
                   if isinstance(profile, ProfileSet))
         assert decode_json(reply)["rows"] == [[ops]]
+
+    @precondition(lambda self: len({e for e, _ in self.committed}) > 1)
+    @rule()
+    def compact(self):
+        # An operator compacting the warehouse the service writes to;
+        # with one committed epoch nothing has aged yet.
+        self.service.warehouse.compact(SOURCE)
 
     @rule()
     def stop_and_reopen(self):
@@ -241,5 +270,6 @@ class ServiceModel(RuleBasedStateMachine):
 
 ServiceModel.TestCase.settings = settings(
     max_examples=250, stateful_step_count=40, deadline=None,
-    derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    derandomize="OSPROF_FAULT_SEED" not in os.environ,
+    suppress_health_check=[HealthCheck.too_slow])
 TestServiceModel = ServiceModel.TestCase

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.scheduler import Kernel
-from repro.vfs.inode import (ENTRIES_PER_PAGE, Inode, InodeTable, S_IFDIR,
-                             S_IFREG)
+from repro.vfs.inode import (ENTRIES_PER_PAGE, BlockMap, Inode, InodeTable,
+                             S_IFDIR, S_IFREG)
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ class TestInode:
 
     def test_block_for_range_checked(self, table):
         f = table.allocate(S_IFREG)
-        f.blocks = [10, 11]
+        f.blocks.append_run(10, 2)
         assert f.block_for(1) == 11
         with pytest.raises(ValueError):
             f.block_for(2)
@@ -97,3 +97,49 @@ class TestInode:
         b = table.allocate(S_IFREG)
         assert a.i_sem is not b.i_sem
         assert a.i_sem.count == 1
+
+
+class TestBlockMap:
+    def test_empty(self):
+        blocks = BlockMap()
+        assert len(blocks) == 0
+        assert not blocks
+        assert list(blocks) == []
+        assert blocks.runs() == []
+        with pytest.raises(IndexError):
+            blocks[0]
+
+    def test_runs_map_pages_in_order(self):
+        blocks = BlockMap()
+        blocks.append_run(100, 3)
+        blocks.append_run(7, 2)
+        assert len(blocks) == 5
+        assert list(blocks) == [100, 101, 102, 7, 8]
+        assert [blocks[page] for page in range(5)] == list(blocks)
+        assert blocks.runs() == [(100, 3), (7, 2)]
+
+    def test_a_continuing_run_merges(self):
+        blocks = BlockMap()
+        blocks.append_run(10, 2)
+        blocks.append_run(12, 1)
+        blocks.append_run(14, 1)
+        assert blocks.runs() == [(10, 3), (14, 1)]
+        assert list(blocks) == [10, 11, 12, 14]
+
+    def test_extend_appends_the_other_maps_runs(self):
+        blocks, more = BlockMap(), BlockMap()
+        blocks.append_run(0, 2)
+        more.append_run(2, 1)
+        more.append_run(9, 2)
+        blocks.extend(more)
+        assert blocks.runs() == [(0, 3), (9, 2)]
+        assert more.runs() == [(2, 1), (9, 2)]
+
+    def test_lookup_and_runs_are_checked(self):
+        blocks = BlockMap()
+        blocks.append_run(5, 2)
+        for page in (-1, 2):
+            with pytest.raises(IndexError):
+                blocks[page]
+        with pytest.raises(ValueError):
+            blocks.append_run(9, 0)
